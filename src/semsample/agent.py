@@ -143,7 +143,11 @@ class ReplayMemory:
     """FIFO ring of transitions with uniform no-replacement batch sampling.
 
     Feature vectors are stored as float32 to halve the footprint; batches
-    are cast to the caller's dtype on the way out.
+    are cast to the caller's dtype on the way out.  Each state is stored
+    once: the next state of slot i is the state of slot i + 1, the
+    following push.  A next state that differs from it (zeros at a
+    terminal step, a new stream after a reset) is kept aside, as is the
+    next state of the newest slot.
     """
 
     def __init__(self, capacity: int, state_dim: int, rng: np.random.Generator):
@@ -152,10 +156,11 @@ class ReplayMemory:
         self.capacity = int(capacity)
         self.rng = rng
         self._states = np.zeros((self.capacity, state_dim), dtype=np.float32)
-        self._next_states = np.zeros((self.capacity, state_dim), dtype=np.float32)
         self._actions = np.zeros(self.capacity, dtype=np.int8)
         self._rewards = np.zeros(self.capacity, dtype=np.float32)
         self._terminals = np.zeros(self.capacity, dtype=bool)
+        self._aside: dict[int, np.ndarray] = {}  # slot -> its next state
+        self._has_aside = np.zeros(self.capacity, dtype=bool)
         self._head = 0
         self._size = 0
 
@@ -165,10 +170,17 @@ class ReplayMemory:
     def push(self, transition: Transition) -> None:
         i = self._head
         self._states[i] = transition.state
-        self._next_states[i] = transition.next_state
+        if self._size:
+            prev = (i - 1) % self.capacity
+            # compare bits, so that a -0.0 is not read back as 0.0
+            if self._aside[prev].tobytes() == self._states[i].tobytes():
+                del self._aside[prev]
+                self._has_aside[prev] = False
         self._actions[i] = transition.action
         self._rewards[i] = transition.reward
         self._terminals[i] = transition.terminal
+        self._aside[i] = np.array(transition.next_state, dtype=np.float32)
+        self._has_aside[i] = True
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -176,11 +188,14 @@ class ReplayMemory:
         if batch_size > self._size:
             raise ValueError(f"cannot sample {batch_size} from {self._size} stored")
         idx = self.rng.choice(self._size, size=batch_size, replace=False)
+        next_states = self._states[(idx + 1) % self.capacity]
+        for row in np.flatnonzero(self._has_aside[idx]):
+            next_states[row] = self._aside[int(idx[row])]
         return Batch(
             states=self._states[idx].astype(dtype),
             actions=self._actions[idx].astype(np.int64),
             rewards=self._rewards[idx].astype(dtype),
-            next_states=self._next_states[idx].astype(dtype),
+            next_states=next_states.astype(dtype),
             terminals=self._terminals[idx],
         )
 

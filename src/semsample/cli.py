@@ -278,17 +278,24 @@ def cmd_channel_check(args: argparse.Namespace) -> int:
     failures: list[str] = []
 
     print(f"channel self-check: m={fading.m}, m_s={fading.m_s}, g_bar={fading.g_bar:.6g}")
-    norm, _ = quad(lambda g: pdf(fading, g), 0.0, np.inf, limit=200)
+    # integrate over x = g / g_bar: the pdf's mass sits near g_bar, which is
+    # about 1e-11 on the default link and invisible to quad over g in [0, inf)
+    g_bar = fading.g_bar
+
+    def x_quad(f) -> float:
+        return quad(lambda x: f(x) * g_bar * pdf(fading, g_bar * x), 0.0, np.inf, limit=200)[0]
+
+    norm = x_quad(lambda x: 1.0)
     _check_line("pdf normalization (quadrature)", norm, 1.0, 1e-6, failures)
 
     mean_closed = moment(fading, 1)
-    mean_quad, _ = quad(lambda g: g * pdf(fading, g), 0.0, np.inf, limit=200)
+    mean_quad = g_bar * x_quad(lambda x: x)
     _check_line("mean: closed form vs g_bar", mean_closed, fading.g_bar, 1e-9, failures)
     _check_line("mean: quadrature vs closed form", mean_quad, mean_closed, 1e-6, failures)
     _check_line("mean: Monte Carlo vs closed form", float(draws.mean()), mean_closed, 0.02, failures)
 
     inv_closed = moment(fading, -1)
-    inv_quad, _ = quad(lambda g: pdf(fading, g) / g, 0.0, np.inf, limit=200)
+    inv_quad = x_quad(lambda x: 1.0 / x) / g_bar
     _check_line("inverse moment: quadrature vs closed form", inv_quad, inv_closed, 1e-6, failures)
     _check_line("inverse moment: Monte Carlo vs closed form",
                 float((1.0 / draws).mean()), inv_closed, 0.02, failures)

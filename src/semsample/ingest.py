@@ -21,6 +21,7 @@ from .layout import BoundingBox, SceneAnnotation, VehicleClass, VehicleRecord
 __all__ = [
     "FootageClip",
     "ClipParseError",
+    "MAX_FRAME_GAP",
     "parse_detrac_xml",
     "clip_to_json",
     "parse_clip_json",
@@ -34,6 +35,13 @@ VEHICLE_TYPE_CODES = {
     "van": VehicleClass.VAN,
     "others": VehicleClass.OTHERS,
 }
+
+
+# Frame numbers absent from an annotation file become empty scenes; a jump
+# larger than this between consecutive frames is rejected instead, so a short
+# document cannot expand into an arbitrarily long clip (1,000 frames is 40 s
+# of footage at 25 fps).
+MAX_FRAME_GAP = 1000
 
 
 class ClipParseError(ValueError):
@@ -100,7 +108,8 @@ def parse_detrac_xml(
     Boxes convert from pixel left/top/width/height to normalized corners;
     vehicle types outside the four known names map to "others".  Frame
     numbers absent from the document become empty scenes so the output is
-    gap-free, and indices are rebased to start at 0.
+    gap-free (consecutive frame numbers may differ by at most
+    ``MAX_FRAME_GAP``), and indices are rebased to start at 0.
     """
     try:
         root = ET.fromstring(data)
@@ -127,6 +136,11 @@ def parse_detrac_xml(
             raise ClipParseError(f"frame number {num_attr!r} is not an integer") from exc
         if last_num is not None and num <= last_num:
             raise ClipParseError(f"non-monotone frame number {num} after {last_num}")
+        if last_num is not None and num - last_num > MAX_FRAME_GAP:
+            raise ClipParseError(
+                f"frame {num}: jump of {num - last_num} frames after frame "
+                f"{last_num} exceeds the cap of {MAX_FRAME_GAP}"
+            )
         last_num = num
         records: list[VehicleRecord] = []
         track_ids: set[int] = set()

@@ -6,16 +6,20 @@ class-valued raster grids at the receiver, and compared with the two mismatch
 metrics used throughout the simulator: the box-level semantic change degree
 and the pixel-level prediction deviation.
 
-Both metrics are evaluated in exact rational arithmetic internally and only
-converted to float on return, so results are reproducible bit-for-bit and can
-be checked against brute-force integer oracles.
+Both metrics are evaluated in exact integer arithmetic: box coordinates are
+scaled to a common power-of-two denominator, pixel classes are counted in one
+confusion matrix, and the terms are summed as one unreduced fraction that is
+rounded to float by a single correctly rounded division.  Results are
+therefore the exact rational values rounded once, reproducible bit-for-bit
+and checkable against brute-force oracles.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from fractions import Fraction
+from typing import Iterable
+
 import numpy as np
 
 __all__ = [
@@ -284,33 +288,38 @@ def box_intersection_area(a: BoundingBox, b: BoundingBox) -> float:
     return w * h
 
 
-def _area_frac(box: BoundingBox) -> Fraction:
-    return (Fraction(box.b3) - Fraction(box.b1)) * (Fraction(box.b4) - Fraction(box.b2))
+def _box_mismatch(a: BoundingBox, b: BoundingBox) -> tuple[int, int]:
+    """(A + A' - 2I, 2 (A + A' - I)) for a matched pair of boxes, in integers.
+
+    Every float is a dyadic rational, so scaling the eight coordinates to
+    their largest power-of-two denominator makes both areas and the
+    intersection exact integers.  The ratio ranges over [0, 1/2]: 0 only for
+    an exact match (or two empty boxes), 1/2 only for disjoint boxes.
+    """
+    ratios = [c.as_integer_ratio() for c in (*a.as_tuple(), *b.as_tuple())]
+    scale = max(d for _, d in ratios)
+    a1, a2, a3, a4, b1, b2, b3, b4 = [n * (scale // d) for n, d in ratios]
+    area_a = (a3 - a1) * (a4 - a2)
+    area_b = (b3 - b1) * (b4 - b2)
+    w = min(a3, b3) - max(a1, b1)
+    h = min(a4, b4) - max(a2, b2)
+    inter = w * h if w > 0 and h > 0 else 0
+    return area_a + area_b - 2 * inter, 2 * (area_a + area_b - inter)
 
 
-def _intersection_frac(a: BoundingBox, b: BoundingBox) -> Fraction:
-    w = min(Fraction(a.b3), Fraction(b.b3)) - max(Fraction(a.b1), Fraction(b.b1))
-    if w <= 0:
-        return Fraction(0)
-    h = min(Fraction(a.b4), Fraction(b.b4)) - max(Fraction(a.b2), Fraction(b.b2))
-    if h <= 0:
-        return Fraction(0)
-    return w * h
+def _ratio_sum(terms: Iterable[tuple[int, int]]) -> float:
+    """Sum of p / q over integer pairs, rounded once to the nearest float.
 
-
-def _box_mismatch_term(a: Fraction, b: Fraction, inter: Fraction) -> Fraction:
-    # (A + A' - 2I) / (2 (A + A' - I)); ranges over [0, 1/2], 0 only for an
-    # exact match and 1/2 only for disjoint boxes
-    denom = a + b - inter
-    if denom == 0:
-        return Fraction(0)  # both boxes empty: no spatial evidence
-    return (a + b - 2 * inter) / (2 * denom)
-
-
-def _pixel_mismatch_term(n: int, n_other: int, inter: int) -> Fraction:
-    # (n + n' - 2i) / (2 (n + n')); same [0, 1/2] range, 1/2 when the two
-    # masks are disjoint (in particular when one of them is empty)
-    return Fraction(n + n_other - 2 * inter, 2 * (n + n_other))
+    The sum is kept as one unreduced fraction; int true division rounds it
+    correctly.  Terms with p == 0 add nothing and may have q == 0 (two empty
+    boxes: no spatial evidence).
+    """
+    num, den = 0, 1
+    for p, q in terms:
+        if p:
+            num = num * q + p * den
+            den *= q
+    return num / den
 
 
 def semantic_change(current: SceneAnnotation, last_sampled: SceneAnnotation) -> float:
@@ -319,42 +328,34 @@ def semantic_change(current: SceneAnnotation, last_sampled: SceneAnnotation) -> 
     Vehicles are matched by track_id; a vehicle present in only one of the
     two scenes counts as fully disjoint and contributes 1/2.
     """
-    cur = {v.track_id: v for v in current.vehicles}
-    old = {v.track_id: v for v in last_sampled.vehicles}
-    total = Fraction(0)
-    for tid in sorted(set(cur) | set(old)):
-        if tid in cur and tid in old:
-            a = _area_frac(cur[tid].box)
-            b = _area_frac(old[tid].box)
-            inter = _intersection_frac(cur[tid].box, old[tid].box)
-            total += _box_mismatch_term(a, b, inter)
-        else:
-            total += Fraction(1, 2)
-    return float(total)
+    cur = {v.track_id: v.box for v in current.vehicles}
+    old = {v.track_id: v.box for v in last_sampled.vehicles}
+    matched = cur.keys() & old.keys()
+    terms = [_box_mismatch(cur[tid], old[tid]) for tid in matched]
+    terms.append((len(cur) + len(old) - 2 * len(matched), 2))
+    return _ratio_sum(terms)
 
 
 def prediction_deviation(real: VisualLayout, predicted: VisualLayout) -> float:
     """Per-class pixel mismatch between the true and the predicted layout.
 
     For each of the four classes the occupied pixel counts of both layouts
-    and their intersection feed the same mismatch ratio used for boxes;
-    classes absent from both layouts contribute 0.
+    (n, n') and their intersection i give the term (n + n' - 2i) / (2 (n + n')):
+    the box ratio on pixels, 1/2 when the masks are disjoint.  Classes absent
+    from both layouts contribute 0.  All counts come from one 5x5 confusion
+    matrix of (real, predicted) cell codes.
     """
     if real.grid.shape != predicted.grid.shape:
         raise ValueError(
             f"layout dimensions differ: {real.grid.shape} vs {predicted.grid.shape}"
         )
-    total = Fraction(0)
-    for cls in VehicleClass:
-        mask_r = real.grid == cls
-        mask_p = predicted.grid == cls
-        n_r = int(mask_r.sum())
-        n_p = int(mask_p.sum())
-        if n_r == 0 and n_p == 0:
-            continue
-        n_i = int((mask_r & mask_p).sum())
-        total += _pixel_mismatch_term(n_r, n_p, n_i)
-    return float(total)
+    codes = real.grid.ravel() * 5 + predicted.grid.ravel()
+    # cells that are background in both layouts (code 0) carry no term
+    confusion = np.bincount(codes[codes != 0], minlength=25).reshape(5, 5)
+    # rows are real classes, columns predicted ones; drop the background
+    n = (confusion.sum(axis=1) + confusion.sum(axis=0))[1:]
+    p = n - 2 * confusion.diagonal()[1:]
+    return _ratio_sum(zip(p.tolist(), (2 * n).tolist()))
 
 
 def penalized_deviation(deviation: float, threshold: float = 0.07, penalty: float = 0.5) -> float:

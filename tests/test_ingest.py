@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semsample.ingest import (
+    MAX_FRAME_GAP,
     ClipParseError,
     FootageClip,
     TrafficGenConfig,
@@ -33,6 +35,26 @@ def test_parse_fixture_boxes_normalized():
     assert first.box.as_tuple() == pytest.approx(
         (48 / 960, 40 / 540, 144 / 960, 80 / 540)
     )
+
+
+def test_parse_fills_a_frame_gap_up_to_the_cap():
+    doc = f'<sequence><frame num="1"/><frame num="{1 + MAX_FRAME_GAP}"/></sequence>'
+    clip = parse_detrac_xml(doc.encode())
+    assert len(clip) == MAX_FRAME_GAP + 1
+
+
+def test_parse_rejects_a_frame_gap_past_the_cap_without_building_it():
+    doc = b'<sequence><frame num="1"/><frame num="1000001"/></sequence>'
+    started = time.perf_counter()
+    with pytest.raises(ClipParseError, match="frame 1000001: jump of 1000000 frames after frame 1"):
+        parse_detrac_xml(doc)
+    assert time.perf_counter() - started < 1.0  # fails before filling any gap
+
+
+def test_parse_rejects_a_gap_one_past_the_cap():
+    doc = f'<sequence><frame num="5"/><frame num="{6 + MAX_FRAME_GAP}"/></sequence>'
+    with pytest.raises(ClipParseError, match=f"frame {6 + MAX_FRAME_GAP}"):
+        parse_detrac_xml(doc.encode())
 
 
 def test_parse_fixture_clamps_out_of_frame_box():

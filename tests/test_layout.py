@@ -348,6 +348,63 @@ def test_semantic_change_matches_oracle_and_is_symmetric(pair):
     ) + 1e-12
 
 
+# coordinates that stress exact arithmetic: the smallest subnormal, other
+# subnormals, the smallest normal, values near 1e-300, the grid's top edge
+EDGE_COORDS = [0.0, 5e-324, 1.5e-323, 1e-310, 2.2250738585072014e-308, 1e-300,
+               3.7e-300, 1e-30, 0.1, 0.5, 1 - 2**-53, 1.0]
+
+coords = st.one_of(
+    st.floats(0.0, 1.0, allow_subnormal=True),
+    st.sampled_from(EDGE_COORDS),
+)
+
+
+@st.composite
+def arbitrary_boxes(draw):
+    x1, x2 = sorted([draw(coords), draw(coords)])
+    y1, y2 = sorted([draw(coords), draw(coords)])
+    if draw(st.booleans()) and draw(st.booleans()):
+        x2 = x1  # zero-area box
+    return BoundingBox(x1, y1, x2, y2)
+
+
+@st.composite
+def arbitrary_scene_pairs(draw):
+    """Up to 15 vehicles a scene; track ids drawn from 0..19, so the two
+    scenes share some ids and not others.  A matched box is either fresh or
+    the other scene's box with one coordinate nudged."""
+    ids_a = draw(st.lists(st.integers(0, 19), max_size=15, unique=True))
+    ids_b = draw(st.lists(st.integers(0, 19), max_size=15, unique=True))
+    a = {tid: draw(arbitrary_boxes()) for tid in ids_a}
+    b = {}
+    for tid in ids_b:
+        if tid in a and draw(st.booleans()):
+            c = list(a[tid].as_tuple())
+            k = draw(st.integers(0, 3))
+            c[k] = draw(coords)
+            b[tid] = BoundingBox(min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
+        else:
+            b[tid] = draw(arbitrary_boxes())
+    return (scene(*(car(t, *box.as_tuple()) for t, box in a.items()), index=0),
+            scene(*(car(t, *box.as_tuple()) for t, box in b.items()), index=1))
+
+
+@given(arbitrary_scene_pairs())
+@settings(max_examples=300, deadline=None)
+def test_semantic_change_matches_oracle_on_arbitrary_floats(pair):
+    a, b = pair
+    assert semantic_change(a, b) == float(semantic_change_oracle(a, b))
+
+
+def test_semantic_change_subnormal_boxes_round_once():
+    # a box of area 2**-2148 against a unit-width sliver: every term is exact
+    # only with the subnormal coordinates kept as integers
+    a = scene(car(0, 0.0, 0.0, 5e-324, 5e-324), car(1, 0.0, 0.0, 1.0, 1e-300))
+    b = scene(car(0, 0.0, 0.0, 1.5e-323, 5e-324), car(1, 0.0, 0.0, 1.0, 2e-300))
+    expected = Fraction(2, 6) + Fraction(1, 4)
+    assert semantic_change(a, b) == float(expected) == float(semantic_change_oracle(a, b))
+
+
 # -- prediction deviation ---------------------------------------------------
 
 
@@ -403,6 +460,35 @@ def test_prediction_deviation_matches_pixel_oracle(data):
     assert prediction_deviation(real, pred) == float(
         prediction_deviation_oracle(real, pred)
     )
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_prediction_deviation_matches_oracle_with_all_five_codes(data):
+    h = data.draw(st.integers(1, 12))
+    w = data.draw(st.integers(max(1, -(-5 // h)), 12))
+    grids = []
+    for _ in range(2):
+        cells = data.draw(st.lists(st.integers(0, 4), min_size=h * w, max_size=h * w))
+        spots = data.draw(st.permutations(range(h * w)))[:5]
+        for code, spot in enumerate(spots):  # every code 0..4 appears
+            cells[spot] = code
+        grids.append(_layout(np.array(cells).reshape(h, w)))
+    real, pred = grids
+    assert prediction_deviation(real, pred) == float(prediction_deviation_oracle(real, pred))
+
+
+def test_prediction_deviation_fault_confined_to_class_four():
+    # classes 1-3 agree exactly; class 4 has n = n' = 3 with 2 shared pixels
+    a = np.zeros((6, 6), np.uint8)
+    a[0, 0:2] = 1
+    a[1, 0:3] = 2
+    a[2, 0] = 3
+    b = a.copy()
+    a[4, 0:3] = 4
+    b[4, 0:2] = 4
+    b[5, 5] = 4
+    assert prediction_deviation(_layout(a), _layout(b)) == float(Fraction(1, 6))
 
 
 # -- penalty ----------------------------------------------------------------

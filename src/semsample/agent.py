@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from .nets import Adam, Mlp
+
+if TYPE_CHECKING:
+    from .simulator import EpisodeMetrics, SamplingEnv
 
 __all__ = [
     "RewardConfig",
@@ -35,8 +38,6 @@ __all__ = [
     "temperature_loss_and_grad",
     "soft_update",
     "select_action",
-    "Environment",
-    "EpisodeStats",
     "Trainer",
     "TrainingDiverged",
 ]
@@ -223,6 +224,7 @@ class SacNetworks:
     """Actor, twin critics with soft-updated targets, and the temperature."""
 
     N_ACTIONS = 2
+    NETWORKS = ("actor", "q1", "q2", "target_q1", "target_q2")
 
     def __init__(self, state_dim: int, config: SacConfig, rng: np.random.Generator):
         dims = (state_dim, *config.widths, self.N_ACTIONS)
@@ -263,22 +265,30 @@ class SacNetworks:
 
     @classmethod
     def from_dict(cls, doc: dict, config: SacConfig) -> "SacNetworks":
+        """Inverse of :meth:`to_dict`.  A document that is not an object, or
+        has a missing key, a wrong type or a shape that disagrees with the
+        config raises ``ValueError``."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"snapshot must be a JSON object, got {type(doc).__name__}")
         if doc.get("format") != "semsample-sac-snapshot" or doc.get("version") != 1:
             raise ValueError("unrecognized snapshot format")
         nets = object.__new__(cls)
-        nets.state_dim = int(doc["state_dim"])
         nets.config = config
-        nets.actor = Mlp.from_arrays(doc["actor"])
-        nets.q1 = Mlp.from_arrays(doc["q1"])
-        nets.q2 = Mlp.from_arrays(doc["q2"])
-        nets.target_q1 = Mlp.from_arrays(doc["target_q1"])
-        nets.target_q2 = Mlp.from_arrays(doc["target_q2"])
-        nets.log_temperature = float(doc["log_temperature"])
-        expected = (nets.state_dim, *config.widths, cls.N_ACTIONS)
-        if nets.actor.dims != expected:
-            raise ValueError(
-                f"snapshot shapes {nets.actor.dims} incompatible with config {expected}"
-            )
+        try:
+            nets.state_dim = int(doc["state_dim"])
+            nets.log_temperature = float(doc["log_temperature"])
+            expected = (nets.state_dim, *config.widths, cls.N_ACTIONS)
+            for name in cls.NETWORKS:
+                net = Mlp.from_arrays(doc[name])
+                if net.dims != expected:
+                    raise ValueError(
+                        f"{name} shapes {net.dims} incompatible with config {expected}"
+                    )
+                setattr(nets, name, net)
+        except KeyError as exc:
+            raise ValueError(f"malformed snapshot: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed snapshot: {exc}") from exc
         return nets
 
 
@@ -392,25 +402,6 @@ def select_action(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-class Environment(Protocol):
-    """MDP contract the trainer drives (implemented by the simulator)."""
-
-    state_dim: int
-
-    def reset(self, new_scene: bool = True) -> np.ndarray: ...
-
-    def step(self, action: int) -> tuple[np.ndarray, float, bool, dict]: ...
-
-
-@dataclass
-class EpisodeStats:
-    episode: int
-    cumulative_reward: float
-    total_energy_j: float
-    mean_deviation: float
-    sample_count: int
-
-
 class TrainingDiverged(RuntimeError):
     """A loss became non-finite; training aborted."""
 
@@ -424,7 +415,7 @@ class Trainer:
 
     def __init__(
         self,
-        env: Environment,
+        env: SamplingEnv,
         config: SacConfig,
         seed: int = 0,
         scene_refresh_every: int = 20,
@@ -439,15 +430,19 @@ class Trainer:
         self.memory = ReplayMemory(
             config.memory_capacity, env.state_dim, np.random.default_rng(replay_ss)
         )
-        betas = config.adam_betas
-        self.opt_q1 = Adam(self.nets.q1.parameters(), config.critic_lr, betas)
-        self.opt_q2 = Adam(self.nets.q2.parameters(), config.critic_lr, betas)
-        self.opt_actor = Adam(self.nets.actor.parameters(), config.actor_lr, betas)
-        self._temp_m = 0.0
-        self._temp_v = 0.0
-        self._temp_t = 0
+        self._build_optimizers()
         self.gradient_steps = 0
         self.episodes_trained = 0
+
+    def _build_optimizers(self) -> None:
+        cfg = self.config
+        betas = cfg.adam_betas
+        self.opt_q1 = Adam(self.nets.q1.parameters(), cfg.critic_lr, betas)
+        self.opt_q2 = Adam(self.nets.q2.parameters(), cfg.critic_lr, betas)
+        self.opt_actor = Adam(self.nets.actor.parameters(), cfg.actor_lr, betas)
+        # the log temperature stays a float on the networks; its optimizer
+        # steps a 0-d copy of it
+        self.opt_temperature = Adam([np.zeros(())], cfg.temperature_lr, betas)
 
     def load_networks(self, nets: SacNetworks) -> None:
         """Adopt previously trained networks (optimizer state starts fresh)."""
@@ -455,13 +450,8 @@ class Trainer:
             raise ValueError(
                 f"snapshot state_dim {nets.state_dim} != env state_dim {self.env.state_dim}"
             )
-        cfg = self.config
         self.nets = nets
-        self.opt_q1 = Adam(nets.q1.parameters(), cfg.critic_lr, cfg.adam_betas)
-        self.opt_q2 = Adam(nets.q2.parameters(), cfg.critic_lr, cfg.adam_betas)
-        self.opt_actor = Adam(nets.actor.parameters(), cfg.actor_lr, cfg.adam_betas)
-        self._temp_m = self._temp_v = 0.0
-        self._temp_t = 0
+        self._build_optimizers()
 
     def update(self) -> tuple[float, float, float]:
         """One gradient step on a sampled batch; returns the three losses."""
@@ -474,7 +464,9 @@ class Trainer:
         a_loss, ga = actor_loss_and_grads(self.nets, batch)
         self._apply(self.opt_actor, self.nets.actor, ga)
         t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy)
-        self._temp_step(g_log_t)
+        log_t = np.array(self.nets.log_temperature)
+        self.opt_temperature.step([log_t], [np.array(g_log_t)])
+        self.nets.log_temperature = float(log_t)
         soft_update(self.nets.target_q1, self.nets.q1, cfg.tau)
         soft_update(self.nets.target_q2, self.nets.q2, cfg.tau)
         self.gradient_steps += 1
@@ -493,54 +485,22 @@ class Trainer:
             flat.append(db)
         opt.step(net.parameters(), flat)
 
-    def _temp_step(self, grad: float) -> None:
-        # scalar Adam on log temperature
-        b1, b2 = self.config.adam_betas
-        self._temp_t += 1
-        self._temp_m = b1 * self._temp_m + (1 - b1) * grad
-        self._temp_v = b2 * self._temp_v + (1 - b2) * grad * grad
-        m_hat = self._temp_m / (1 - b1**self._temp_t)
-        v_hat = self._temp_v / (1 - b2**self._temp_t)
-        self.nets.log_temperature -= (
-            self.config.temperature_lr * m_hat / (math.sqrt(v_hat) + 1e-8)
-        )
-
-    def run_episode(self, episode_index: int) -> EpisodeStats:
+    def run_episode(self, episode_index: int) -> EpisodeMetrics:
+        """Play one stochastic episode, updating after every step once the
+        replay memory is warm; returns the environment's episode record."""
         new_scene = episode_index % self.scene_refresh_every == 0
         state = self.env.reset(new_scene=new_scene)
-        total_reward = 0.0
-        total_energy = 0.0
-        dev_sum = 0.0
-        dev_count = 0
-        samples = 0
         done = False
         while not done:
             action = select_action(state, self.nets, "stochastic", self.action_rng)
             next_state, r, done, info = self.env.step(action)
-            executed = int(info.get("action", action))
-            self.memory.push(Transition(state, executed, r, next_state, done))
+            self.memory.push(Transition(state, info["action"], r, next_state, done))
             if len(self.memory) >= max(self.config.warmup_transitions, self.config.batch_size):
                 self.update()
             state = next_state
-            total_reward += r
-            total_energy += float(info.get("energy_j", 0.0))
-            if info.get("deviation") is not None:
-                dev_sum += float(info["deviation"])
-                dev_count += 1
-            samples += int(info.get("sampled", False))
-        total_energy += float(getattr(self.env, "bootstrap_energy_j", 0.0))
         self.episodes_trained += 1
-        return EpisodeStats(
-            episode=episode_index,
-            cumulative_reward=total_reward,
-            total_energy_j=total_energy,
-            mean_deviation=dev_sum / dev_count if dev_count else 0.0,
-            sample_count=samples,
-        )
+        return self.env.metrics
 
-    def train(self, episodes: int, start_episode: int = 0) -> list[EpisodeStats]:
+    def train(self, episodes: int, start_episode: int = 0) -> list[EpisodeMetrics]:
         """Run ``episodes`` episodes and return the per-episode curves."""
-        curves = []
-        for ep in range(start_episode, start_episode + episodes):
-            curves.append(self.run_episode(ep))
-        return curves
+        return [self.run_episode(ep) for ep in range(start_episode, start_episode + episodes)]

@@ -146,7 +146,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.resume:
         doc = json.loads(Path(args.resume).read_text())
         trainer.load_networks(SacNetworks.from_dict(doc, sac_cfg))
-        start_episode = int(doc.get("trained_episodes", 0))
+        start_episode = doc.get("trained_episodes", 0)
+        if type(start_episode) is not int or start_episode < 0:
+            raise ConfigError(f"snapshot trained_episodes {start_episode!r} is not a count")
         log.info("resumed from %s at episode %d", args.resume, start_episode)
 
     out_dir = Path(args.out)
@@ -157,8 +159,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    for stats in curves:
-        log.debug("episode %d reward %.3f", stats.episode, stats.cumulative_reward)
+    for episode, metrics in enumerate(curves, start_episode):
+        log.debug("episode %d reward %.3f", episode, metrics.cumulative_reward)
 
     snapshot_path = out_dir / "snapshot.json"
     snapshot_path.write_text(json.dumps(
@@ -168,13 +170,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     curves_path = out_dir / "curves.csv"
     _write_csv(curves_path, CURVE_COLUMNS, [
         {
-            "episode": s.episode,
-            "cumulative_reward": s.cumulative_reward,
-            "total_energy_j": s.total_energy_j,
-            "mean_deviation": s.mean_deviation,
-            "sample_count": s.sample_count,
+            "episode": episode,
+            "cumulative_reward": m.cumulative_reward,
+            "total_energy_j": m.total_energy_j,
+            "mean_deviation": m.mean_deviation,
+            "sample_count": m.sample_count,
         }
-        for s in curves
+        for episode, m in enumerate(curves, start_episode)
     ])
     _write_manifest(out_dir, "train", digest, seed, [snapshot_path, curves_path], started)
     print(f"trained {episodes} episodes -> {snapshot_path}")
@@ -356,7 +358,12 @@ def _make_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--episodes", type=int, help="override training.episodes")
     p_train.add_argument("--seed", type=int, help="override the config seed")
     p_train.add_argument("--out", default="runs/train", help="output directory")
-    p_train.add_argument("--resume", help="snapshot to continue from")
+    p_train.add_argument(
+        "--resume",
+        help="snapshot whose networks to continue from; the optimizer moments, "
+        "the replay memory (so the warm-up repeats) and the random streams "
+        "restart",
+    )
     p_train.add_argument("--base-dir", default=None, help="base dir for clip paths")
     p_train.set_defaults(func=cmd_train)
 

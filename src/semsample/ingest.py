@@ -22,6 +22,7 @@ __all__ = [
     "FootageClip",
     "ClipParseError",
     "MAX_FRAME_GAP",
+    "MAX_CLIP_FRAMES",
     "parse_detrac_xml",
     "clip_to_json",
     "parse_clip_json",
@@ -42,6 +43,14 @@ VEHICLE_TYPE_CODES = {
 # document cannot expand into an arbitrarily long clip (1,000 frames is 40 s
 # of footage at 25 fps).
 MAX_FRAME_GAP = 1000
+
+# The span of frame numbers in one document (last - first + 1, the length of
+# the clip once its gaps are filled) is capped too: bounding each jump alone
+# still lets 200 frames 1,000 apart expand into a 199,001-frame clip.
+# 20,000 frames is 13 min 20 s at 25 fps, several times the length of a
+# UA-DETRAC sequence (a few thousand frames at most), yet small enough that
+# an adversarial document costs a fraction of a second and a few MiB.
+MAX_CLIP_FRAMES = 20_000
 
 
 class ClipParseError(ValueError):
@@ -109,7 +118,8 @@ def parse_detrac_xml(
     vehicle types outside the four known names map to "others".  Frame
     numbers absent from the document become empty scenes so the output is
     gap-free (consecutive frame numbers may differ by at most
-    ``MAX_FRAME_GAP``), and indices are rebased to start at 0.
+    ``MAX_FRAME_GAP``, the first and last by less than ``MAX_CLIP_FRAMES``),
+    and indices are rebased to start at 0.
     """
     try:
         root = ET.fromstring(data)
@@ -140,6 +150,11 @@ def parse_detrac_xml(
             raise ClipParseError(
                 f"frame {num}: jump of {num - last_num} frames after frame "
                 f"{last_num} exceeds the cap of {MAX_FRAME_GAP}"
+            )
+        if numbered and num - numbered[0][0] + 1 > MAX_CLIP_FRAMES:
+            raise ClipParseError(
+                f"frame {num}: frames {numbered[0][0]}..{num} span "
+                f"{num - numbered[0][0] + 1} frames, past the cap of {MAX_CLIP_FRAMES}"
             )
         last_num = num
         records: list[VehicleRecord] = []

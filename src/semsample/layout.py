@@ -39,7 +39,6 @@ __all__ = [
     "decode_message",
     "message_from_payload",
     "rasterize",
-    "box_intersection_area",
     "semantic_change",
     "prediction_deviation",
     "penalized_deviation",
@@ -279,13 +278,6 @@ def rasterize(scene: SceneAnnotation, width: int = 120, height: int = 80) -> Vis
         x1, y1, x2, y2 = _pixel_rect(rec.box, width, height)
         grid[y1:y2, x1:x2] = int(rec.vehicle_class)
     return VisualLayout(grid)
-
-
-def box_intersection_area(a: BoundingBox, b: BoundingBox) -> float:
-    """Overlap area of two boxes, 0 when disjoint."""
-    w = max(0.0, min(a.b3, b.b3) - max(a.b1, b.b1))
-    h = max(0.0, min(a.b4, b.b4) - max(a.b2, b.b2))
-    return w * h
 
 
 def _box_mismatch(a: BoundingBox, b: BoundingBox) -> tuple[int, int]:

@@ -95,9 +95,6 @@ class Mlp:
         clone.biases = [b.copy() for b in self.biases]
         return clone
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def to_arrays(self) -> dict:
         return {
             "dims": list(self.dims),
@@ -108,14 +105,22 @@ class Mlp:
 
     @classmethod
     def from_arrays(cls, doc: dict) -> "Mlp":
+        """Inverse of :meth:`to_arrays`.  A missing key, a wrong type or a
+        layer shape that disagrees with ``dims`` raises ``ValueError``."""
         net = object.__new__(cls)
-        net.dims = tuple(int(d) for d in doc["dims"])
-        net.dtype = np.dtype(doc["dtype"])
-        net.weights = [np.array(w, dtype=net.dtype) for w in doc["weights"]]
-        net.biases = [np.array(b, dtype=net.dtype) for b in doc["biases"]]
-        for i, (fan_in, fan_out) in enumerate(zip(net.dims[:-1], net.dims[1:])):
-            if net.weights[i].shape != (fan_in, fan_out) or net.biases[i].shape != (fan_out,):
-                raise ValueError("snapshot layer shapes inconsistent with dims")
+        try:
+            net.dims = tuple(int(d) for d in doc["dims"])
+            net.dtype = np.dtype(doc["dtype"])
+            net.weights = [np.array(w, dtype=net.dtype) for w in doc["weights"]]
+            net.biases = [np.array(b, dtype=net.dtype) for b in doc["biases"]]
+        except KeyError as exc:
+            raise ValueError(f"network missing key {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"network has a value of the wrong type: {exc}") from exc
+        shapes = [(w.shape, b.shape) for w, b in zip(net.weights, net.biases)]
+        expected = [((i, o), (o,)) for i, o in zip(net.dims[:-1], net.dims[1:])]
+        if net.dtype.kind != "f" or len(net.biases) != len(net.weights) or shapes != expected:
+            raise ValueError(f"network dtype or layer shapes inconsistent with dims {net.dims}")
         return net
 
 
@@ -142,10 +147,3 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * np.square(g)
             p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-    def state_arrays(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [a.tolist() for a in self.m],
-            "v": [a.tolist() for a in self.v],
-        }

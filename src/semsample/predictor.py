@@ -6,15 +6,13 @@ interval, refilled either from the two most recently received scenes (after
 a reception) or from the two most recently displayed layouts (when the queue
 runs dry mid-silence).
 
-The reference predictor extrapolates constant velocity.  It works on
-annotations when it has them (per-track box velocity) and falls back to
-per-class centroid shift when only raster layouts are available.  A learned
-predictor can be slotted in by implementing :class:`LayoutPredictor`.
+The predictor extrapolates constant velocity.  It works on annotations when
+it has them (per-track box velocity) and falls back to per-class centroid
+shift when only raster layouts are available.
 """
 from __future__ import annotations
 
 import enum
-from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -35,7 +33,6 @@ from .layout import (
 
 __all__ = [
     "PredictorConfig",
-    "LayoutPredictor",
     "ConstantVelocityPredictor",
     "Feedback",
     "DestinationState",
@@ -73,44 +70,17 @@ class Feedback(enum.Enum):
     REQUEST_RESAMPLE = "request_resample"
 
 
-class LayoutPredictor(ABC):
-    """Produces the next ``horizon`` layouts from two past observations."""
-
-    @abstractmethod
-    def predict_scenes(
-        self,
-        older: SceneAnnotation,
-        newer: SceneAnnotation,
-        gap: int,
-        horizon: int,
-    ) -> list[VisualLayout]:
-        """Predict from two annotated scenes ``gap`` intervals apart."""
-
-    @abstractmethod
-    def predict_layouts(
-        self,
-        older: VisualLayout,
-        newer: VisualLayout,
-        gap: int,
-        horizon: int,
-    ) -> list[VisualLayout]:
-        """Predict from two raster layouts ``gap`` intervals apart."""
-
-    def predict(self, older, newer, gap: int, horizon: int) -> list[VisualLayout]:
-        """Dispatch on input kind (scene pair or layout pair)."""
-        if isinstance(older, SceneAnnotation) and isinstance(newer, SceneAnnotation):
-            return self.predict_scenes(older, newer, gap, horizon)
-        if isinstance(older, VisualLayout) and isinstance(newer, VisualLayout):
-            return self.predict_layouts(older, newer, gap, horizon)
-        raise TypeError("predict needs two scenes or two layouts")
-
-
 def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-class ConstantVelocityPredictor(LayoutPredictor):
-    """Linear extrapolation of per-track boxes or per-class pixel masks."""
+class ConstantVelocityPredictor:
+    """Linear extrapolation of per-track boxes or per-class pixel masks.
+
+    Both methods produce the next ``horizon`` layouts from two past
+    observations ``gap`` intervals apart: :meth:`predict_scenes` from two
+    annotated scenes, :meth:`predict_layouts` from two raster layouts.
+    """
 
     def __init__(self, config: PredictorConfig):
         self.config = config
@@ -202,20 +172,15 @@ class DestinationState:
     def __init__(
         self,
         config: PredictorConfig,
-        predictor: Optional[LayoutPredictor] = None,
-        record_history: bool = False,
+        predictor: Optional[ConstantVelocityPredictor] = None,
     ):
         self.config = config
         self.predictor = predictor or ConstantVelocityPredictor(config)
         self.pending: deque[VisualLayout] = deque()
         self._last_displayed: deque[VisualLayout] = deque(maxlen=2)
-        self._prev_received: Optional[tuple[SceneAnnotation, int]] = None
         self._last_received: Optional[tuple[SceneAnnotation, int]] = None
         self._last_t: Optional[int] = None  # last interval advanced
         self.last_comparison: Optional[float] = None
-        self.history: Optional[list[tuple[int, VisualLayout]]] = (
-            [] if record_history else None
-        )
 
     @classmethod
     def bootstrap(
@@ -223,20 +188,17 @@ class DestinationState:
         first_message: SemanticMessage,
         second_message: SemanticMessage,
         config: PredictorConfig,
-        predictor: Optional[LayoutPredictor] = None,
+        predictor: Optional[ConstantVelocityPredictor] = None,
         second_time: int = 0,
-        record_history: bool = False,
     ) -> "DestinationState":
         """Case 1: two consecutive initial receptions prime the queue."""
-        state = cls(config, predictor, record_history)
+        state = cls(config, predictor)
         older = decode_message(first_message)
         newer = decode_message(second_message)
-        for scene, t in ((older, second_time - 1), (newer, second_time)):
-            layout = rasterize(scene, config.grid_width, config.grid_height)
-            state._last_displayed.append(layout)
-            if state.history is not None:
-                state.history.append((t, layout))
-        state._prev_received = (older, second_time - 1)
+        for scene in (older, newer):
+            state._last_displayed.append(
+                rasterize(scene, config.grid_width, config.grid_height)
+            )
         state._last_received = (newer, second_time)
         state._last_t = second_time
         state.pending = deque(
@@ -298,12 +260,9 @@ class DestinationState:
             self.pending = deque(
                 self.predictor.predict_scenes(prev_scene, scene, gap, self.config.horizon)
             )
-            self._prev_received = self._last_received
             self._last_received = (scene, t)
             if deviation > self.config.deviation_threshold:
                 feedback = Feedback.REQUEST_RESAMPLE
         self._last_displayed.append(displayed)
         self._last_t = t
-        if self.history is not None:
-            self.history.append((t, displayed))
         return displayed, feedback

@@ -10,9 +10,8 @@ resample request forces the next step's action to transmit.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .channel import (
 from .ingest import FootageClip
 from .layout import (
     SceneAnnotation,
-    VisualLayout,
     encode_message,
     penalized_deviation,
     prediction_deviation,
@@ -54,7 +52,6 @@ __all__ = [
     "SamplingEnv",
     "run_episode",
     "compare_policies",
-    "layout_history_to_json",
 ]
 
 
@@ -185,7 +182,6 @@ class SamplingEnv:
         self._clip_index: Optional[int] = None
         self._offset: Optional[int] = None
         self.metrics: Optional[EpisodeMetrics] = None
-        self.bootstrap_energy_j = 0.0
 
     # -- episode lifecycle ---------------------------------------------------
 
@@ -214,15 +210,15 @@ class SamplingEnv:
         msg_cur = encode_message(clip.frames[offset + 1])
         e0 = self._transmit_energy(msg_prev.size_bits)
         e1 = self._transmit_energy(msg_cur.size_bits)
-        self.bootstrap_energy_j = e0 + e1
+        bootstrap_energy_j = e0 + e1
         self.destination = DestinationState.bootstrap(
             msg_prev, msg_cur, self.config.predictor, second_time=0
         )
         self._window = np.zeros(self.scaling.window + 1, dtype=np.float64)
         self._pending_force = False
         self.metrics = EpisodeMetrics(
-            total_energy_j=self.bootstrap_energy_j,
-            bootstrap_energy_j=self.bootstrap_energy_j,
+            total_energy_j=bootstrap_energy_j,
+            bootstrap_energy_j=bootstrap_energy_j,
             truncated=self._truncated,
             trace=[] if self.record_trace else None,
         )
@@ -317,15 +313,7 @@ class SamplingEnv:
             next_features = np.zeros(self.state_dim, dtype=np.float64)
         else:
             next_features = self._observe()
-        info = {
-            "action": a,
-            "forced": forced,
-            "sampled": a == 1,
-            "energy_j": energy,
-            "deviation": deviation,
-            "reward": r,
-            "t": t,
-        }
+        info = {"action": a, "forced": forced, "sampled": a == 1}
         return next_features, r, done, info
 
 
@@ -380,7 +368,7 @@ def compare_policies(
         clip_seed = int(
             np.random.SeedSequence([base_seed, clip_idx]).generate_state(1)[0]
         )
-        clip_config = _with_seed(config, clip_seed)
+        clip_config = replace(config, seed=clip_seed)
         for name, policy in policies.items():
             metrics, _ = run_episode(clip_config, clip, policy, record_trace=record_trace)
             if on_result is not None:
@@ -396,32 +384,3 @@ def compare_policies(
                 }
             )
     return rows
-
-
-def _with_seed(config: EpisodeConfig, seed: int) -> EpisodeConfig:
-    return EpisodeConfig(
-        steps=config.steps,
-        link=config.link,
-        fading_m=config.fading_m,
-        fading_m_s=config.fading_m_s,
-        predictor=config.predictor,
-        reward=config.reward,
-        scaling=config.scaling,
-        energy_scale=config.energy_scale,
-        energy_mode=config.energy_mode,
-        seed=seed,
-    )
-
-
-def layout_history_to_json(history: Iterable[tuple[int, VisualLayout]]) -> str:
-    """Dump a displayed-layout history as JSON; each grid row becomes a
-    string of digit characters (0 background, 1..4 class codes)."""
-    frames = []
-    width = height = None
-    for t, layout in history:
-        width, height = layout.width, layout.height
-        rows = ["".join(str(int(c)) for c in row) for row in layout.grid]
-        frames.append({"t": t, "rows": rows})
-    return json.dumps(
-        {"width": width, "height": height, "frames": frames}, separators=(",", ":")
-    )

@@ -106,23 +106,3 @@ def moment_quadrature(params, n: float) -> float:
 
     val, _ = quad(lambda g: g**n * pdf(params, g), 0.0, np.inf, limit=300)
     return val
-
-
-def finite_difference_grads(params: list[np.ndarray], loss_fn, eps: float = 1e-6):
-    """Central-difference gradient of a scalar loss over parameter arrays."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p, dtype=np.float64)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            step = eps * max(1.0, abs(orig))
-            flat_p[i] = orig + step
-            hi = loss_fn()
-            flat_p[i] = orig - step
-            lo = loss_fn()
-            flat_p[i] = orig
-            flat_g[i] = (hi - lo) / (2 * step)
-        grads.append(g)
-    return grads

@@ -1,4 +1,29 @@
+import json
+
+import pytest
+
 from semsample import cli
+
+# small nets and short episodes, so a train -> evaluate -> resume round trip
+# runs in a few seconds
+TINY = {
+    "agent": {"widths": [16, 16], "batch_size": 8, "warmup_transitions": 8},
+    "predictor": {"grid_width": 24, "grid_height": 16},
+    "episode": {"steps": 12},
+    "training": {"episodes": 2},
+    "eval_policies": ["agent", "periodic:4"],
+}
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _rows(path):
+    lines = path.read_text().splitlines()
+    columns = lines[0].split(",")
+    return [dict(zip(columns, line.split(","))) for line in lines[1:]]
 
 
 def test_channel_check_passes_on_the_default_config(capsys):
@@ -6,3 +31,94 @@ def test_channel_check_passes_on_the_default_config(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "all channel checks passed" in out
+
+
+def test_channel_check_with_few_draws_fails_the_monte_carlo_lines(capsys):
+    assert cli.main(["channel-check", "--draws", "10"]) == cli.EXIT_RUNTIME
+    # only the three Monte Carlo lines fail; quadrature and closed forms agree
+    assert capsys.readouterr().err == (
+        "FAILED: mean: Monte Carlo vs closed form, inverse moment: Monte Carlo vs "
+        "closed form, energy: Monte Carlo vs closed form\n"
+    )
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"bogus": 1}, "unknown config key 'bogus'"),
+    ({"agent": {"widths": [8], "bogus": 1}}, "unknown config key 'agent.bogus'"),
+    ({"energy": {"scale": -1}}, "energy.scale must be 'auto' or a positive number"),
+])
+def test_a_bad_config_gives_exit_2(tmp_path, capsys, doc, message):
+    config = _write(tmp_path / "config.json", doc)
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_evaluate_resume_round_trip(tmp_path):
+    config = _write(tmp_path / "config.json", TINY)
+    first, evaluation, resumed = tmp_path / "first", tmp_path / "eval", tmp_path / "resumed"
+    assert cli.main(["train", "--config", config, "--out", str(first)]) == cli.EXIT_OK
+    snapshot = first / "snapshot.json"
+    assert json.loads(snapshot.read_text())["trained_episodes"] == 2
+    assert [r["episode"] for r in _rows(first / "curves.csv")] == ["0", "1"]
+
+    assert cli.main(["evaluate", "--config", config, "--snapshot", str(snapshot),
+                     "--out", str(evaluation)]) == cli.EXIT_OK
+    rows = _rows(evaluation / "comparison.csv")
+    assert {r["policy"] for r in rows} == {"agent", "periodic:4"}
+
+    assert cli.main(["train", "--config", config, "--resume", str(snapshot),
+                     "--episodes", "3", "--out", str(resumed)]) == cli.EXIT_OK
+    assert [r["episode"] for r in _rows(resumed / "curves.csv")] == ["2", "3", "4"]
+    assert json.loads((resumed / "snapshot.json").read_text())["trained_episodes"] == 5
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"format": "semsample-sac-snapshot", "version": 1}, "missing key 'state_dim'"),
+    ([1, 2], "snapshot must be a JSON object, got list"),
+    ({"format": "semsample-sac-snapshot", "version": 1, "state_dim": "many",
+      "log_temperature": 0.0}, "invalid literal"),
+])
+@pytest.mark.parametrize("command", ["evaluate", "resume"])
+def test_a_malformed_snapshot_gives_exit_2(tmp_path, capsys, doc, message, command):
+    config = _write(tmp_path / "config.json", TINY)
+    snapshot = _write(tmp_path / "snapshot.json", doc)
+    out = str(tmp_path / "out")
+    if command == "evaluate":
+        argv = ["evaluate", "--config", config, "--snapshot", snapshot, "--out", out]
+    else:
+        argv = ["train", "--config", config, "--resume", snapshot, "--out", out]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_a_snapshot_with_bad_shapes_or_episode_count_gives_exit_2(tmp_path, capsys):
+    config = _write(tmp_path / "config.json", TINY)
+    assert cli.main(["train", "--config", config, "--episodes", "1",
+                     "--out", str(tmp_path / "first")]) == cli.EXIT_OK
+    doc = json.loads((tmp_path / "first" / "snapshot.json").read_text())
+    capsys.readouterr()
+
+    bad_layer = json.loads(json.dumps(doc))
+    bad_layer["q2"]["weights"][1] = bad_layer["q2"]["weights"][1][:-1]  # drop a row
+    snapshot = _write(tmp_path / "bad_layer.json", bad_layer)
+    assert cli.main(["evaluate", "--config", config, "--snapshot", snapshot,
+                     "--out", str(tmp_path / "eval")]) == cli.EXIT_USAGE
+    assert "layer shapes inconsistent with dims" in capsys.readouterr().err
+
+    narrow = {**TINY, "agent": {**TINY["agent"], "widths": [8, 8]}}
+    assert cli.main(["evaluate", "--config", _write(tmp_path / "narrow.json", narrow),
+                     "--snapshot", str(tmp_path / "first" / "snapshot.json"),
+                     "--out", str(tmp_path / "eval")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "actor shapes (153, 16, 16, 2) incompatible with config (153, 8, 8, 2)" in err
+
+    doc["trained_episodes"] = "1"
+    snapshot = _write(tmp_path / "bad_count.json", doc)
+    assert cli.main(["train", "--config", config, "--resume", snapshot,
+                     "--out", str(tmp_path / "resumed")]) == cli.EXIT_USAGE
+    assert "trained_episodes '1' is not a count" in capsys.readouterr().err

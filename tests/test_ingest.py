@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semsample.ingest import (
+    MAX_CLIP_FRAMES,
     MAX_FRAME_GAP,
     ClipParseError,
     FootageClip,
@@ -55,6 +56,29 @@ def test_parse_rejects_a_gap_one_past_the_cap():
     doc = f'<sequence><frame num="5"/><frame num="{6 + MAX_FRAME_GAP}"/></sequence>'
     with pytest.raises(ClipParseError, match=f"frame {6 + MAX_FRAME_GAP}"):
         parse_detrac_xml(doc.encode())
+
+
+def _frames_doc(nums) -> bytes:
+    return ("<sequence>" + "".join(f'<frame num="{n}"/>' for n in nums) + "</sequence>").encode()
+
+
+def test_parse_rejects_a_long_span_of_small_gaps_without_building_it():
+    # every jump is within MAX_FRAME_GAP, but the 200 frames span 199,001
+    doc = _frames_doc(range(1, 200_001, 1000))
+    assert len(doc) == 4108
+    started = time.perf_counter()
+    message = f"span {MAX_CLIP_FRAMES + 1} frames, past the cap of {MAX_CLIP_FRAMES}"
+    with pytest.raises(ClipParseError, match=message):
+        parse_detrac_xml(doc)
+    assert time.perf_counter() - started < 1.0  # fails before filling any gap
+
+
+def test_parse_accepts_a_span_exactly_at_the_clip_cap():
+    nums = list(range(7, 7 + MAX_CLIP_FRAMES, MAX_FRAME_GAP)) + [6 + MAX_CLIP_FRAMES]
+    clip = parse_detrac_xml(_frames_doc(nums))
+    assert len(clip) == MAX_CLIP_FRAMES
+    with pytest.raises(ClipParseError, match="past the cap"):
+        parse_detrac_xml(_frames_doc(nums + [7 + MAX_CLIP_FRAMES]))
 
 
 def test_parse_fixture_clamps_out_of_frame_box():

@@ -14,7 +14,6 @@ from semsample.layout import (
     VehicleClass,
     VehicleRecord,
     VisualLayout,
-    box_intersection_area,
     decode_message,
     encode_message,
     message_from_payload,
@@ -266,26 +265,6 @@ def test_visual_layout_is_read_only():
     layout = rasterize(scene(), 8, 8)
     with pytest.raises(ValueError):
         layout.grid[0, 0] = 1
-
-
-# -- box intersection ------------------------------------------------------
-
-
-def test_intersection_identical_unit_boxes():
-    box = BoundingBox(0, 0, 1, 1)
-    assert box_intersection_area(box, box) == 1.0
-
-
-def test_intersection_disjoint_is_zero():
-    assert box_intersection_area(
-        BoundingBox(0, 0, 0.4, 0.4), BoundingBox(0.5, 0.5, 1, 1)
-    ) == 0.0
-
-
-def test_intersection_quarter_overlap():
-    assert box_intersection_area(
-        BoundingBox(0, 0, 0.5, 0.5), BoundingBox(0.25, 0.25, 0.75, 0.75)
-    ) == pytest.approx(0.0625, abs=0)
 
 
 # -- semantic change -------------------------------------------------------

@@ -154,16 +154,6 @@ def test_layout_path_drops_pixels_outside_frame():
     assert not layouts[-1].grid.any()
 
 
-def test_predict_dispatch_on_types():
-    predictor = ConstantVelocityPredictor(CFG)
-    sc = scene(rec(0, 0.2))
-    assert len(predictor.predict(sc, sc, 1, 2)) == 2
-    lay = rasterize(sc, 120, 80)
-    assert len(predictor.predict(lay, lay, 1, 2)) == 2
-    with pytest.raises(TypeError):
-        predictor.predict(sc, lay, 1, 2)
-
-
 def test_gap_must_be_positive():
     predictor = ConstantVelocityPredictor(CFG)
     sc = scene(rec(0, 0.2))
@@ -189,9 +179,13 @@ def test_bootstrap_fills_queue_with_horizon_predictions():
 def test_six_silent_steps_trigger_exactly_one_repredict():
     predictor = CountingPredictor(CFG)
     dest = boot(predictor=predictor)
+    bootstrap_round = list(dest.pending)
     assert len(predictor.scene_calls) == 1  # bootstrap round
-    for t in range(1, 7):
-        dest.step(t, None)
+    shown = [dest.step(t, None)[0] for t in range(1, 7)]
+    # one displayed layout per step: the bootstrap round in order, then the
+    # head of the round chained from the layouts shown at t=4 and t=5
+    assert shown[:5] == bootstrap_round
+    assert shown[5] == ConstantVelocityPredictor(CFG).predict_layouts(shown[3], shown[4], 1, 5)[0]
     assert len(predictor.scene_calls) == 1
     assert len(predictor.layout_calls) == 1  # refilled once, at t=6
     assert dest.queue_len == 4
@@ -294,12 +288,3 @@ def test_step_requires_bootstrap():
     dest = DestinationState(CFG)
     with pytest.raises(RuntimeError):
         dest.step(1, None)
-
-
-def test_history_recording():
-    m0 = encode_message(scene(rec(0, 0.1)))
-    m1 = encode_message(scene(rec(0, 0.12)))
-    dest = DestinationState.bootstrap(m0, m1, CFG, record_history=True)
-    dest.step(1, None)
-    dest.step(2, None)
-    assert [t for t, _ in dest.history] == [-1, 0, 1, 2]

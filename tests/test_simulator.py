@@ -66,3 +66,14 @@ def test_total_energy_is_bootstrap_plus_step_energies(dense_episode):
     assert metrics.bootstrap_energy_j > 0
     assert metrics.total_energy_j == total
     assert sum(step.energy_j > 0 for step in metrics.trace) == metrics.sample_count
+
+
+@pytest.mark.parametrize("frames, truncated", [(40, True), (52, False)])
+def test_a_clip_shorter_than_the_horizon_truncates_the_episode(frames, truncated):
+    # an episode needs steps + 2 frames: the bootstrap pair, then one per step
+    clip = generate_traffic(TrafficGenConfig(spawn_rate=0.3, seed=2), frames, "short")
+    config = EpisodeConfig(steps=50, predictor=PredictorConfig(grid_width=24, grid_height=16))
+    metrics, _ = run_episode(config, clip, PeriodicPolicy(3), record_trace=True)
+    assert metrics.truncated is truncated
+    assert metrics.steps == len(metrics.trace) == min(50, frames - 2)
+    assert [step.t for step in metrics.trace] == list(range(1, metrics.steps + 1))

@@ -1,7 +1,7 @@
 """The semantic sampling agent: a discrete soft actor-critic.
 
 The agent observes the pending packet size, a sliding window of semantic
-change values and the average channel gain, and decides once per sensing
+change values and a constant gain feature, and decides once per sensing
 interval whether to transmit.  Because the action space is binary, every
 expectation over actions in the actor, critic and temperature losses is a
 two-term sum evaluated exactly; no sampling estimator is involved.  All
@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 __all__ = [
     "RewardConfig",
     "reward",
-    "AgentState",
     "StateScaling",
     "Transition",
     "ReplayMemory",
@@ -73,47 +72,32 @@ def reward(action: int, energy_j: float, penalized_dev: float, cfg: RewardConfig
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """Raw observation: packet bits, change-degree window, average gain.
-
-    ``chi_window`` holds [chi_t, chi_{t-1}, ...] with zero padding before
-    history exists.  ``gap`` (intervals since the last sample) is an optional
-    extra feature, disabled by default.
-    """
-
-    packet_bits: int
-    chi_window: np.ndarray
-    gain: float
-    gap: int = 0
-
-
-@dataclass(frozen=True)
 class StateScaling:
     """Feature scaling so the networks see inputs roughly in [0, 1]."""
 
     window: int = 150
     chi_cap: float = 16.0
-    gain_nominal: float = 1.0
-    include_gap: bool = False
-    gap_cap: float = 25.0
 
     @property
     def state_dim(self) -> int:
-        return self.window + 3 + (1 if self.include_gap else 0)
+        return self.window + 3
 
-    def features(self, state: AgentState) -> np.ndarray:
-        if state.chi_window.shape != (self.window + 1,):
+    def features(self, packet_bits: int, chi_window: np.ndarray) -> np.ndarray:
+        """[bits / MAX_PACKET_BITS, chi window / chi_cap, gain feature].
+
+        ``chi_window`` holds [chi_t, chi_{t-1}, ...] with zero padding before
+        history exists.  The gain feature is the average gain over itself,
+        the constant 1.0: the agent does not observe the channel.
+        """
+        if chi_window.shape != (self.window + 1,):
             raise ValueError(
-                f"chi window must have length {self.window + 1}, got {state.chi_window.shape}"
+                f"chi window must have length {self.window + 1}, got {chi_window.shape}"
             )
-        parts = [
-            np.array([state.packet_bits / MAX_PACKET_BITS], dtype=np.float64),
-            np.asarray(state.chi_window, dtype=np.float64) / self.chi_cap,
-            np.array([state.gain / self.gain_nominal], dtype=np.float64),
-        ]
-        if self.include_gap:
-            parts.append(np.array([min(state.gap, self.gap_cap) / self.gap_cap]))
-        return np.concatenate(parts)
+        return np.concatenate((
+            [packet_bits / MAX_PACKET_BITS],
+            np.asarray(chi_window, dtype=np.float64) / self.chi_cap,
+            [1.0],
+        ))
 
 
 @dataclass(frozen=True)
@@ -216,7 +200,6 @@ class SacConfig:
     target_entropy: float = -1.0
     initial_temperature: float = 1.0
     warmup_transitions: int = 2000
-    adam_betas: tuple[float, float] = (0.9, 0.999)
     dtype: str = "float32"
 
 
@@ -436,13 +419,12 @@ class Trainer:
 
     def _build_optimizers(self) -> None:
         cfg = self.config
-        betas = cfg.adam_betas
-        self.opt_q1 = Adam(self.nets.q1.parameters(), cfg.critic_lr, betas)
-        self.opt_q2 = Adam(self.nets.q2.parameters(), cfg.critic_lr, betas)
-        self.opt_actor = Adam(self.nets.actor.parameters(), cfg.actor_lr, betas)
+        self.opt_q1 = Adam(self.nets.q1.parameters(), cfg.critic_lr)
+        self.opt_q2 = Adam(self.nets.q2.parameters(), cfg.critic_lr)
+        self.opt_actor = Adam(self.nets.actor.parameters(), cfg.actor_lr)
         # the log temperature stays a float on the networks; its optimizer
         # steps a 0-d copy of it
-        self.opt_temperature = Adam([np.zeros(())], cfg.temperature_lr, betas)
+        self.opt_temperature = Adam([np.zeros(())], cfg.temperature_lr)
 
     def load_networks(self, nets: SacNetworks) -> None:
         """Adopt previously trained networks (optimizer state starts fresh)."""

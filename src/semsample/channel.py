@@ -4,7 +4,7 @@ The channel gain follows the two-shape composite fading distribution that
 jointly captures multipath (shape ``m``) and shadowing (shape ``m_s``).  The
 transmitter holds the received SNR at a decoding threshold via power control,
 so energy per packet reduces to closed-form gamma-function expressions; a
-seeded sampler exists for Monte-Carlo validation and stochastic-energy runs.
+seeded gain sampler exists for Monte-Carlo validation.
 
 All dB-to-linear conversions happen once at :class:`LinkBudget` construction;
 everything at runtime is linear-domain.  Gamma/beta evaluations go through
@@ -27,7 +27,6 @@ __all__ = [
     "rate_bits_per_s",
     "transmission_duration",
     "expected_energy",
-    "sampled_energy",
 ]
 
 
@@ -169,21 +168,3 @@ def expected_energy(size_bits: float, link: LinkBudget, params: FadingParams) ->
         - math.lgamma(m_s)
     )
     return delta * link.snr_threshold * link.noise_power_w * math.exp(log_inv)
-
-
-def sampled_energy(
-    size_bits: float,
-    link: LinkBudget,
-    params: FadingParams,
-    rng: np.random.Generator,
-) -> float:
-    """Energy of one transmission with the fading gain drawn once.
-
-    Fading is i.i.d. across transmission intervals; a packet occupies a
-    single interval here, so one draw covers the whole packet.
-    """
-    delta = transmission_duration(size_bits, link)
-    if delta == 0.0:
-        return 0.0
-    gain = float(sample_gain(params, rng))
-    return delta * link.snr_threshold * link.noise_power_w / gain

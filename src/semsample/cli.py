@@ -118,6 +118,23 @@ def _build_policy(spec: str, nets: Optional[SacNetworks]):
     raise ConfigError(f"unknown policy spec {spec!r}")
 
 
+def _read_snapshot(path: str, resolved: dict) -> tuple[SacNetworks, dict]:
+    """Read a snapshot written by ``train``: its networks and its document.
+
+    A malformed snapshot raises ``ValueError``; one whose ``state`` settings
+    differ from the config's raises ``ConfigError``, since its networks were
+    trained on differently scaled features.
+    """
+    doc = json.loads(Path(path).read_text())
+    nets = SacNetworks.from_dict(doc, build_sac_config(resolved))
+    snap_state = doc.get("state")
+    if snap_state is not None and snap_state != resolved["state"]:
+        raise ConfigError(
+            f"snapshot state settings {snap_state} differ from config {resolved['state']}"
+        )
+    return nets, doc
+
+
 def _snapshot_doc(trainer: Trainer, resolved: dict, episodes: int) -> dict:
     doc = trainer.nets.to_dict()
     doc["trained_episodes"] = episodes
@@ -144,8 +161,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                       scene_refresh_every=int(resolved["training"]["scene_refresh_every"]))
     start_episode = 0
     if args.resume:
-        doc = json.loads(Path(args.resume).read_text())
-        trainer.load_networks(SacNetworks.from_dict(doc, sac_cfg))
+        nets, doc = _read_snapshot(args.resume, resolved)
+        trainer.load_networks(nets)
         start_episode = doc.get("trained_episodes", 0)
         if type(start_episode) is not int or start_episode < 0:
             raise ConfigError(f"snapshot trained_episodes {start_episode!r} is not a count")
@@ -191,14 +208,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     seed = int(resolved["seed"])
     digest = config_digest(resolved)
 
-    snapshot_doc = json.loads(Path(args.snapshot).read_text())
-    sac_cfg = build_sac_config(resolved)
-    nets = SacNetworks.from_dict(snapshot_doc, sac_cfg)
-    snap_state = snapshot_doc.get("state")
-    if snap_state is not None and snap_state != resolved["state"]:
-        raise ConfigError(
-            f"snapshot state settings {snap_state} differ from config {resolved['state']}"
-        )
+    nets, _ = _read_snapshot(args.snapshot, resolved)
 
     if args.clips:
         from .ingest import parse_clip_json

@@ -67,7 +67,6 @@ DEFAULTS: dict[str, Any] = {
         "scale": "auto",
         "anchor_mj": 0.015,
         "anchor_bits": 66,
-        "mode": "expected",
     },
     "predictor": {
         "horizon": 5,
@@ -77,12 +76,7 @@ DEFAULTS: dict[str, Any] = {
         "max_track_speed": 0.04,
     },
     "episode": {"steps": 150},
-    "state": {
-        "window": 150,
-        "chi_cap": 8.0,
-        "include_gap": False,
-        "gap_cap": 25.0,
-    },
+    "state": {"window": 150, "chi_cap": 8.0},
     "agent": {
         "widths": [300, 200, 200],
         "batch_size": 1024,
@@ -234,15 +228,8 @@ def build_episode_config(resolved: dict, seed: Optional[int] = None) -> EpisodeC
                 deviation_threshold=float(rw["deviation_threshold"]),
                 penalty=float(rw["penalty"]),
             ),
-            scaling=StateScaling(
-                window=int(st["window"]),
-                chi_cap=float(st["chi_cap"]),
-                gain_nominal=link.g_bar,
-                include_gap=bool(st["include_gap"]),
-                gap_cap=float(st["gap_cap"]),
-            ),
+            scaling=StateScaling(window=int(st["window"]), chi_cap=float(st["chi_cap"])),
             energy_scale=float(resolved["energy"]["scale"]),
-            energy_mode=str(resolved["energy"]["mode"]),
             seed=int(resolved["seed"] if seed is None else seed),
         )
     except ValueError as exc:

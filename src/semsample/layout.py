@@ -79,17 +79,6 @@ class BoundingBox:
         if not (0.0 <= self.b2 <= self.b4 <= 1.0):
             raise ValueError(f"invalid y extent: b2={self.b2}, b4={self.b4}")
 
-    @property
-    def width(self) -> float:
-        return self.b3 - self.b1
-
-    @property
-    def height(self) -> float:
-        return self.b4 - self.b2
-
-    def area(self) -> float:
-        return self.width * self.height
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.b1, self.b2, self.b3, self.b4)
 

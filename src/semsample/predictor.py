@@ -189,9 +189,9 @@ class DestinationState:
         second_message: SemanticMessage,
         config: PredictorConfig,
         predictor: Optional[ConstantVelocityPredictor] = None,
-        second_time: int = 0,
     ) -> "DestinationState":
-        """Case 1: two consecutive initial receptions prime the queue."""
+        """Case 1: two consecutive initial receptions prime the queue; the
+        second is interval 0."""
         state = cls(config, predictor)
         older = decode_message(first_message)
         newer = decode_message(second_message)
@@ -199,8 +199,8 @@ class DestinationState:
             state._last_displayed.append(
                 rasterize(scene, config.grid_width, config.grid_height)
             )
-        state._last_received = (newer, second_time)
-        state._last_t = second_time
+        state._last_received = (newer, 0)
+        state._last_t = 0
         state.pending = deque(
             state.predictor.predict_scenes(older, newer, 1, config.horizon)
         )
@@ -224,8 +224,8 @@ class DestinationState:
         flag that, when set, asks the source to sample at t+1.
 
         Call once per interval, silent or not: ``t`` must be exactly one more
-        than the interval of the previous call (``second_time + 1`` right
-        after :meth:`bootstrap`), otherwise ``ValueError`` is raised.  Each
+        than the interval of the previous call (interval 1 right after
+        :meth:`bootstrap`), otherwise ``ValueError`` is raised.  Each
         call pops one predicted layout, so a skipped interval would compare
         a reception with the prediction made for an earlier interval.
 

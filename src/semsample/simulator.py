@@ -16,7 +16,6 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .agent import (
-    AgentState,
     RewardConfig,
     SacNetworks,
     StateScaling,
@@ -24,12 +23,7 @@ from .agent import (
     reward,
     select_action,
 )
-from .channel import (
-    FadingParams,
-    LinkBudget,
-    expected_energy,
-    sampled_energy,
-)
+from .channel import FadingParams, LinkBudget, expected_energy
 from .ingest import FootageClip
 from .layout import (
     SceneAnnotation,
@@ -67,14 +61,11 @@ class EpisodeConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
     scaling: StateScaling = field(default_factory=StateScaling)
     energy_scale: float = 1.0
-    energy_mode: str = "expected"  # or "stochastic"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ValueError("episodes need at least 2 steps")
-        if self.energy_mode not in ("expected", "stochastic"):
-            raise ValueError(f"unknown energy mode {self.energy_mode!r}")
 
     def fading(self) -> FadingParams:
         return self.link.fading(self.fading_m, self.fading_m_s)
@@ -175,10 +166,8 @@ class SamplingEnv:
         self.scaling = config.scaling
         self.state_dim = config.scaling.state_dim
         self.record_trace = record_trace
-        root = np.random.SeedSequence(config.seed)
-        scene_ss, energy_ss = root.spawn(2)
+        scene_ss = np.random.SeedSequence(config.seed).spawn(1)[0]
         self._scene_rng = np.random.default_rng(scene_ss)
-        self._energy_rng = np.random.default_rng(energy_ss)
         self._clip_index: Optional[int] = None
         self._offset: Optional[int] = None
         self.metrics: Optional[EpisodeMetrics] = None
@@ -208,12 +197,12 @@ class SamplingEnv:
         self._t_hat_frame = offset + 1  # frame of the last sampled scene (STI 0)
         msg_prev = encode_message(clip.frames[offset])
         msg_cur = encode_message(clip.frames[offset + 1])
-        e0 = self._transmit_energy(msg_prev.size_bits)
-        e1 = self._transmit_energy(msg_cur.size_bits)
-        bootstrap_energy_j = e0 + e1
-        self.destination = DestinationState.bootstrap(
-            msg_prev, msg_cur, self.config.predictor, second_time=0
+        link = self.config.link
+        bootstrap_energy_j = (
+            expected_energy(msg_prev.size_bits, link, self.fading)
+            + expected_energy(msg_cur.size_bits, link, self.fading)
         )
+        self.destination = DestinationState.bootstrap(msg_prev, msg_cur, self.config.predictor)
         self._window = np.zeros(self.scaling.window + 1, dtype=np.float64)
         self._pending_force = False
         self.metrics = EpisodeMetrics(
@@ -229,25 +218,13 @@ class SamplingEnv:
     def _frame(self, t: int) -> SceneAnnotation:
         return self._clip.frames[self._offset + 1 + t]
 
-    def _transmit_energy(self, size_bits: int) -> float:
-        if self.config.energy_mode == "stochastic":
-            return sampled_energy(size_bits, self.config.link, self.fading, self._energy_rng)
-        return expected_energy(size_bits, self.config.link, self.fading)
-
     def _observe(self) -> np.ndarray:
-        t = self._t
-        scene = self._frame(t)
+        scene = self._frame(self._t)
         chi = semantic_change(scene, self._clip.frames[self._t_hat_frame])
         self._window = np.roll(self._window, 1)
         self._window[0] = chi
         self._last_chi = chi
-        state = AgentState(
-            packet_bits=22 * scene.vehicle_count,
-            chi_window=self._window.copy(),
-            gain=self.fading.g_bar,
-            gap=t - (self._t_hat_frame - self._offset - 1),
-        )
-        return self.scaling.features(state)
+        return self.scaling.features(22 * scene.vehicle_count, self._window)
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool, dict]:
         if self.metrics is None:
@@ -262,7 +239,7 @@ class SamplingEnv:
         chi = self._last_chi
         if a == 1:
             msg = encode_message(scene)
-            energy = self._transmit_energy(msg.size_bits)
+            energy = expected_energy(msg.size_bits, cfg.link, self.fading)
             displayed, feedback = self.destination.step(t, msg)
             r = reward(1, energy * cfg.energy_scale, 0.0, cfg.reward)
             self._t_hat_frame = self._offset + 1 + t

@@ -16,6 +16,19 @@ from semsample.predictor import PredictorConfig
 from semsample.simulator import EpisodeConfig, SamplingEnv
 
 
+def test_state_features_scale_bits_and_chi_and_end_in_the_gain_feature():
+    scaling = StateScaling(window=4, chi_cap=8.0)
+    chi = np.array([4.0, 2.0, 0.0, 8.0, 1.0])
+    features = scaling.features(44, chi)
+    assert features.shape == (4 + 3,) == (scaling.state_dim,)
+    assert features.dtype == np.float64
+    assert features[0] == 44 / 1408
+    np.testing.assert_array_equal(features[1:-1], [0.5, 0.25, 0.0, 1.0, 0.125])
+    assert features[-1] == 1.0
+    with pytest.raises(ValueError, match="chi window must have length 5"):
+        scaling.features(44, np.zeros(4))
+
+
 class TwoArrayRing:
     """Reference ring that stores every state and next state in full."""
 

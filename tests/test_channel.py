@@ -14,7 +14,6 @@ from semsample.channel import (
     pdf,
     rate_bits_per_s,
     sample_gain,
-    sampled_energy,
     transmission_duration,
 )
 from oracles import moment_quadrature
@@ -213,22 +212,6 @@ def test_expected_energy_monte_carlo():
     assert expected_energy(22, link, params) == pytest.approx(mc, rel=0.02)
 
 
-def test_sampled_energy_mode():
-    link = LinkBudget()
-    params = link.fading()
-    values = [
-        sampled_energy(22, link, params, np.random.default_rng(s)) for s in range(200)
-    ]
-    assert all(v > 0 for v in values)
-    assert sampled_energy(0, link, params, np.random.default_rng(0)) == 0.0
-    mean = float(np.mean([
-        sampled_energy(22, link, params, rng)
-        for rng in [np.random.default_rng(77)] * 1  # one stream, many draws
-        for _ in range(20000)
-    ]))
-    assert mean == pytest.approx(expected_energy(22, link, params), rel=0.1)
-
-
 def test_expected_energy_monotonicity_grid():
     base_psd = -90.0
     sizes = np.linspace(10, 2000, 5)
@@ -246,11 +229,3 @@ def test_expected_energy_monotonicity_grid():
     assert (np.diff(values, axis=0) > 0).all()  # more bits cost more
     assert (np.diff(values, axis=1) > 0).all()  # higher threshold costs more
     assert (np.diff(values, axis=2) > 0).all()  # weaker gain costs more
-
-
-def test_stochastic_energy_increasing_in_bits():
-    link = LinkBudget()
-    params = link.fading()
-    a = sampled_energy(22, link, params, np.random.default_rng(5))
-    b = sampled_energy(44, link, params, np.random.default_rng(5))
-    assert b == pytest.approx(2 * a, rel=1e-12)

@@ -46,6 +46,8 @@ def test_channel_check_with_few_draws_fails_the_monte_carlo_lines(capsys):
     ({"bogus": 1}, "unknown config key 'bogus'"),
     ({"agent": {"widths": [8], "bogus": 1}}, "unknown config key 'agent.bogus'"),
     ({"energy": {"scale": -1}}, "energy.scale must be 'auto' or a positive number"),
+    ({"energy": {"mode": "expected"}}, "unknown config key 'energy.mode'"),
+    ({"state": {"include_gap": False}}, "unknown config key 'state.include_gap'"),
 ])
 def test_a_bad_config_gives_exit_2(tmp_path, capsys, doc, message):
     config = _write(tmp_path / "config.json", doc)
@@ -73,6 +75,44 @@ def test_train_evaluate_resume_round_trip(tmp_path):
                      "--episodes", "3", "--out", str(resumed)]) == cli.EXIT_OK
     assert [r["episode"] for r in _rows(resumed / "curves.csv")] == ["2", "3", "4"]
     assert json.loads((resumed / "snapshot.json").read_text())["trained_episodes"] == 5
+
+
+def test_fixed_seed_runs_write_byte_identical_outputs(tmp_path):
+    config = _write(tmp_path / "config.json", TINY)
+    for run in ("a", "b"):
+        assert cli.main(["train", "--config", config, "--seed", "5",
+                         "--out", str(tmp_path / run / "train")]) == cli.EXIT_OK
+    for name in ("curves.csv", "snapshot.json"):
+        a, b = (tmp_path / run / "train" / name for run in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes(), name
+
+    snapshot = str(tmp_path / "a" / "train" / "snapshot.json")
+    for run in ("a", "b"):
+        assert cli.main(["evaluate", "--config", config, "--snapshot", snapshot, "--seed", "5",
+                         "--out", str(tmp_path / run / "eval")]) == cli.EXIT_OK
+    a, b = (tmp_path / run / "eval" / "comparison.csv" for run in ("a", "b"))
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "resume"])
+def test_a_snapshot_trained_on_other_state_settings_gives_exit_2(tmp_path, capsys, command):
+    config = _write(tmp_path / "config.json", TINY)
+    assert cli.main(["train", "--config", config, "--episodes", "1",
+                     "--out", str(tmp_path / "first")]) == cli.EXIT_OK
+    capsys.readouterr()
+    other = _write(tmp_path / "other.json", {**TINY, "state": {"chi_cap": 1.0}})
+    snapshot = str(tmp_path / "first" / "snapshot.json")
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv = ["evaluate", "--config", other, "--snapshot", snapshot, "--out", str(out)]
+    else:
+        argv = ["train", "--config", other, "--resume", snapshot, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: snapshot state settings {'window': 150, 'chi_cap': 8.0} "
+                          "differ from config {'window': 150, 'chi_cap': 1.0}")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc, message", [

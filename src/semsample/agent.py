@@ -202,6 +202,30 @@ class SacConfig:
     warmup_transitions: int = 2000
     dtype: str = "float32"
 
+    def __post_init__(self):
+        try:
+            float_dtype = np.dtype(self.dtype).kind == "f"
+        except TypeError:
+            float_dtype = False
+        rules = (
+            ("widths", all(w >= 1 for w in self.widths), "must all be >= 1"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("memory_capacity",
+             self.memory_capacity >= max(self.batch_size, self.warmup_transitions),
+             "must be >= batch_size and >= warmup_transitions"),
+            ("actor_lr", 0 < self.actor_lr < math.inf, "must be > 0"),
+            ("critic_lr", 0 < self.critic_lr < math.inf, "must be > 0"),
+            ("temperature_lr", 0 < self.temperature_lr < math.inf, "must be > 0"),
+            ("tau", 0 < self.tau <= 1, "must be in (0, 1]"),
+            ("gamma", 0 <= self.gamma <= 1, "must be in [0, 1]"),
+            ("initial_temperature", 0 < self.initial_temperature < math.inf, "must be > 0"),
+            ("warmup_transitions", self.warmup_transitions >= 0, "must be >= 0"),
+            ("dtype", float_dtype, "must be a float type"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{key} {rule}, got {getattr(self, key)!r}")
+
 
 class SacNetworks:
     """Actor, twin critics with soft-updated targets, and the temperature."""
@@ -359,13 +383,10 @@ def temperature_loss_and_grad(nets: SacNetworks, batch: Batch, target_entropy: f
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     """Blend target parameters toward the source: target = tau*source + (1-tau)*target."""
-    t_params = target.parameters()
-    s_params = source.parameters()
-    for tp, sp in zip(t_params, s_params):
-        if tp.shape != sp.shape:
-            raise ValueError(f"shape mismatch {tp.shape} vs {sp.shape}")
-        tp *= 1.0 - tau
-        tp += tau * sp
+    if target.dims != source.dims:
+        raise ValueError(f"shape mismatch {target.dims} vs {source.dims}")
+    target.flat *= 1.0 - tau
+    target.flat += tau * source.flat
 
 
 def select_action(
@@ -403,6 +424,8 @@ class Trainer:
         seed: int = 0,
         scene_refresh_every: int = 20,
     ):
+        if scene_refresh_every < 1:
+            raise ValueError(f"scene_refresh_every must be >= 1, got {scene_refresh_every}")
         self.env = env
         self.config = config
         self.scene_refresh_every = scene_refresh_every
@@ -419,9 +442,9 @@ class Trainer:
 
     def _build_optimizers(self) -> None:
         cfg = self.config
-        self.opt_q1 = Adam(self.nets.q1.parameters(), cfg.critic_lr)
-        self.opt_q2 = Adam(self.nets.q2.parameters(), cfg.critic_lr)
-        self.opt_actor = Adam(self.nets.actor.parameters(), cfg.actor_lr)
+        self.opt_q1 = Adam([self.nets.q1.flat], cfg.critic_lr)
+        self.opt_q2 = Adam([self.nets.q2.flat], cfg.critic_lr)
+        self.opt_actor = Adam([self.nets.actor.flat], cfg.actor_lr)
         # the log temperature stays a float on the networks; its optimizer
         # steps a 0-d copy of it
         self.opt_temperature = Adam([np.zeros(())], cfg.temperature_lr)
@@ -461,11 +484,8 @@ class Trainer:
 
     @staticmethod
     def _apply(opt: Adam, net: Mlp, grads) -> None:
-        flat = []
-        for dw, db in grads:
-            flat.append(dw)
-            flat.append(db)
-        opt.step(net.parameters(), flat)
+        """One Adam step on ``net.flat`` with the [(dW, db), ...] of backward."""
+        opt.step([net.flat], [np.concatenate([np.ravel(a) for pair in grads for a in pair])])
 
     def run_episode(self, episode_index: int) -> EpisodeMetrics:
         """Play one stochastic episode, updating after every step once the

@@ -150,12 +150,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.episodes is not None:
         resolved["training"]["episodes"] = args.episodes
     episodes = int(resolved["training"]["episodes"])
+    if episodes < 0:
+        raise ConfigError(f"training.episodes (or --episodes) must be >= 0, got {episodes}")
     seed = int(resolved["seed"])
     digest = config_digest(resolved)
 
+    sac_cfg = build_sac_config(resolved)
     clips = build_clips(resolved["train_clips"], args.base_dir)
     episode_cfg = build_episode_config(resolved, seed=seed)
-    sac_cfg = build_sac_config(resolved)
     env = SamplingEnv(episode_cfg, clips)
     trainer = Trainer(env, sac_cfg, seed=seed,
                       scene_refresh_every=int(resolved["training"]["scene_refresh_every"]))
@@ -414,7 +416,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ClipParseError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ClipParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingDiverged as exc:

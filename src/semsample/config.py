@@ -253,7 +253,7 @@ def build_sac_config(resolved: dict) -> SacConfig:
             warmup_transitions=int(ag["warmup_transitions"]),
             dtype=str(ag["dtype"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid agent settings: {exc}") from exc
 
 

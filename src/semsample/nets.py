@@ -23,6 +23,11 @@ class Mlp:
 
     Weights use symmetric uniform fan-in initialization, U(-s, s) with
     s = 1/sqrt(fan_in), for both weights and biases.
+
+    All parameters live in one contiguous vector ``flat``, laid out w0, b0,
+    w1, b1, ...; ``weights`` and ``biases`` are views into it, so Adam and the
+    soft update make one pass per net.  Edit the views in place; rebinding
+    them or ``flat`` detaches them from each other.
     """
 
     def __init__(self, dims: Sequence[int], rng: np.random.Generator, dtype=np.float32):
@@ -30,16 +35,19 @@ class Mlp:
             raise ValueError("need at least input and output dims")
         self.dims = tuple(int(d) for d in dims)
         self.dtype = np.dtype(dtype)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        arrays = []
         for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(
-                rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(self.dtype)
-            )
-            self.biases.append(
-                rng.uniform(-bound, bound, size=fan_out).astype(self.dtype)
-            )
+            arrays.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(self.dtype))
+            arrays.append(rng.uniform(-bound, bound, size=fan_out).astype(self.dtype))
+        self._store(arrays)
+
+    def _store(self, arrays: Sequence[np.ndarray]) -> None:
+        """Copy w0, b0, w1, b1, ... into a new ``flat`` and view it as layers."""
+        self.flat = np.concatenate([np.ravel(a) for a in arrays])
+        parts = np.split(self.flat, np.cumsum([a.size for a in arrays])[:-1])
+        self.weights = [w.reshape(a.shape) for w, a in zip(parts[::2], arrays[::2])]
+        self.biases = parts[1::2]
 
     @property
     def n_layers(self) -> int:
@@ -81,18 +89,14 @@ class Mlp:
         return grads
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """The views [w0, b0, w1, b1, ...] of ``flat``."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def copy(self) -> "Mlp":
         clone = object.__new__(Mlp)
         clone.dims = self.dims
         clone.dtype = self.dtype
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone._store(self.parameters())
         return clone
 
     def to_arrays(self) -> dict:
@@ -121,11 +125,12 @@ class Mlp:
         expected = [((i, o), (o,)) for i, o in zip(net.dims[:-1], net.dims[1:])]
         if net.dtype.kind != "f" or len(net.biases) != len(net.weights) or shapes != expected:
             raise ValueError(f"network dtype or layer shapes inconsistent with dims {net.dims}")
+        net._store(net.parameters())
         return net
 
 
 class Adam:
-    """Adam over a flat list of parameter arrays, updating in place."""
+    """Adam over a list of parameter arrays, updating in place."""
 
     def __init__(self, params: Sequence[np.ndarray], lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
         self.lr = lr

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from semsample.agent import (
     temperature_loss_and_grad,
 )
 from semsample.ingest import TrafficGenConfig, generate_traffic
+from semsample.nets import Adam, Mlp
 from semsample.predictor import PredictorConfig
 from semsample.simulator import EpisodeConfig, SamplingEnv
 
@@ -121,15 +124,15 @@ def test_replay_memory_rejects_oversized_batch():
 SMALL_SAC = SacConfig(widths=(32, 32), batch_size=16, memory_capacity=200, warmup_transitions=16)
 
 
-def _trainer(record_trace=False):
+def _trainer(record_trace=False, config=SMALL_SAC):
     clip = generate_traffic(TrafficGenConfig(spawn_rate=0.3, seed=4), 80, "small")
-    config = EpisodeConfig(
+    episode = EpisodeConfig(
         steps=30,
         predictor=PredictorConfig(grid_width=24, grid_height=16),
         scaling=StateScaling(window=10),
         seed=2,
     )
-    return Trainer(SamplingEnv(config, [clip], record_trace=record_trace), SMALL_SAC, seed=3)
+    return Trainer(SamplingEnv(episode, [clip], record_trace=record_trace), config, seed=3)
 
 
 def _fill_memory(trainer, n):
@@ -194,3 +197,91 @@ def test_load_networks_restarts_every_optimizer():
     assert [opt.t for opt in optimizers] == [0, 0, 0, 0]
     for opt in optimizers:
         assert not any(m.any() for m in opt.m) and not any(v.any() for v in opt.v)
+
+
+# -- flat parameter storage ------------------------------------------------
+
+def _assert_views_of_flat(net):
+    """Every weight and bias is the view of ``net.flat`` at its offset in the
+    layout w0, b0, w1, b1, ..., so writing each one in place with its own
+    offsets makes ``flat`` count up.  Overwrites the parameters."""
+    assert net.flat.ndim == 1 and net.flat.flags.c_contiguous and net.flat.dtype == net.dtype
+    offset = 0
+    for a in net.parameters():
+        assert np.shares_memory(a, net.flat)
+        assert a.ctypes.data == net.flat.ctypes.data + offset * net.flat.itemsize
+        a[...] = np.arange(offset, offset + a.size).reshape(a.shape)
+        offset += a.size
+    np.testing.assert_array_equal(net.flat, np.arange(offset))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_weights_and_biases_are_views_of_flat(dtype):
+    net = Mlp((5, 4, 3, 2), np.random.default_rng(0), dtype)
+    clone = net.copy()
+    loaded = Mlp.from_arrays(net.to_arrays())
+    for other in (clone, loaded):
+        assert not np.shares_memory(other.flat, net.flat)
+        assert other.flat.tobytes() == net.flat.tobytes()
+    for each in (net, clone, loaded):
+        _assert_views_of_flat(each)
+
+
+def test_loaded_networks_keep_their_views_through_updates():
+    trainer = _trainer()
+    _fill_memory(trainer, 16)
+    trainer.load_networks(SacNetworks.from_dict(trainer.nets.to_dict(), SMALL_SAC))
+    trainer.update()
+    for name in SacNetworks.NETWORKS:
+        _assert_views_of_flat(getattr(trainer.nets, name))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
+    """Five updates on the flat vectors equal, bit for bit, per-array Adam
+    steps and per-array soft updates on a copy of the networks."""
+    config = dataclasses.replace(SMALL_SAC, dtype=dtype)
+    trainer = _trainer(config=config)
+    _fill_memory(trainer, 16)
+    ref = SacNetworks.from_dict(trainer.nets.to_dict(), config)
+    opts = {name: Adam(getattr(ref, name).parameters(), lr)
+            for name, lr in (("q1", config.critic_lr), ("q2", config.critic_lr),
+                             ("actor", config.actor_lr))}
+    opt_t = Adam([np.zeros(())], config.temperature_lr)
+    batches = []
+    sample = trainer.memory.sample
+
+    def recording(*args):
+        batches.append(sample(*args))
+        return batches[-1]
+
+    trainer.memory.sample = recording
+
+    def step(name, grads):
+        opts[name].step(getattr(ref, name).parameters(), [a for pair in grads for a in pair])
+
+    for _ in range(5):
+        trainer.update()
+        batch = batches[-1]
+        _, g1, g2 = agent.critic_loss_and_grads(ref, batch)
+        step("q1", g1)
+        step("q2", g2)
+        step("actor", agent.actor_loss_and_grads(ref, batch)[1])
+        _, g_log_t = temperature_loss_and_grad(ref, batch, config.target_entropy)
+        log_t = np.array(ref.log_temperature)
+        opt_t.step([log_t], [np.array(g_log_t)])
+        ref.log_temperature = float(log_t)
+        for target, source in ((ref.target_q1, ref.q1), (ref.target_q2, ref.q2)):
+            for tp, sp in zip(target.parameters(), source.parameters()):
+                tp *= 1.0 - config.tau
+                tp += config.tau * sp
+
+        assert trainer.nets.log_temperature == ref.log_temperature
+        for name in SacNetworks.NETWORKS:
+            for got, want in zip(getattr(trainer.nets, name).parameters(), getattr(ref, name).parameters()):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        for name, opt in opts.items():
+            flat_opt = getattr(trainer, "opt_" + name)
+            assert flat_opt.t == opt.t
+            assert np.array_equal(flat_opt.m[0], np.concatenate([m.ravel() for m in opt.m]))
+            assert np.array_equal(flat_opt.v[0], np.concatenate([v.ravel() for v in opt.v]))

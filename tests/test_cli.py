@@ -48,12 +48,51 @@ def test_channel_check_with_few_draws_fails_the_monte_carlo_lines(capsys):
     ({"energy": {"scale": -1}}, "energy.scale must be 'auto' or a positive number"),
     ({"energy": {"mode": "expected"}}, "unknown config key 'energy.mode'"),
     ({"state": {"include_gap": False}}, "unknown config key 'state.include_gap'"),
+    ({"agent": {"widths": [16, 0]}}, "widths must all be >= 1"),
+    ({"agent": {"widths": 5}}, "invalid agent settings: 'int' object is not iterable"),
+    ({"agent": {"batch_size": None}}, "invalid agent settings: int() argument"),
+    ({"agent": {"batch_size": 0}}, "batch_size must be >= 1"),
+    ({"agent": {"memory_capacity": 7, "batch_size": 8, "warmup_transitions": 0}},
+     "memory_capacity must be >= batch_size"),
+    ({"agent": {"memory_capacity": 8, "batch_size": 8, "warmup_transitions": 9}},
+     "memory_capacity must be >= batch_size and >= warmup_transitions"),
+    ({"agent": {"actor_lr": 0}}, "actor_lr must be > 0"),
+    ({"agent": {"critic_lr": -1e-5}}, "critic_lr must be > 0"),
+    ({"agent": {"temperature_lr": 0}}, "temperature_lr must be > 0"),
+    ({"agent": {"tau": 5}}, "tau must be in (0, 1]"),
+    ({"agent": {"tau": 0}}, "tau must be in (0, 1]"),
+    ({"agent": {"gamma": 1.5}}, "gamma must be in [0, 1]"),
+    ({"agent": {"initial_temperature": 0}}, "initial_temperature must be > 0"),
+    ({"agent": {"warmup_transitions": -1}}, "warmup_transitions must be >= 0"),
+    ({"agent": {"dtype": "int32"}}, "dtype must be a float type, got 'int32'"),
+    ({"agent": {"dtype": "no-such-type"}}, "dtype must be a float type"),
+    ({"training": {"episodes": -1}}, "training.episodes (or --episodes) must be >= 0, got -1"),
+    ({"training": {"scene_refresh_every": 0}}, "scene_refresh_every must be >= 1, got 0"),
 ])
 def test_a_bad_config_gives_exit_2(tmp_path, capsys, doc, message):
     config = _write(tmp_path / "config.json", doc)
     assert cli.main(["train", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_episodes_flag_gives_exit_2(tmp_path, capsys):
+    config = _write(tmp_path / "config.json", TINY)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", config, "--episodes", "-3", "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: training.episodes (or --episodes) must be >= 0, got -3\n"
+    assert not out.exists()
+
+
+def test_a_directory_as_snapshot_gives_exit_2(tmp_path, capsys):
+    config = _write(tmp_path / "config.json", TINY)
+    argv = ["evaluate", "--config", config, "--snapshot", str(tmp_path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 

@@ -12,6 +12,7 @@ manifest with content digests, so reruns are diffable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -27,7 +28,6 @@ from scipy.integrate import quad
 from . import __version__
 from .agent import SacNetworks, Trainer, TrainingDiverged
 from .channel import (
-    FadingParams,
     expected_energy,
     moment,
     pdf,
@@ -46,7 +46,7 @@ from .config import (
     load_config,
     resolve_config,
 )
-from .ingest import ClipParseError, clip_to_json, parse_detrac_xml
+from .ingest import ClipParseError, clip_to_json, parse_clip_json, parse_detrac_xml
 from .simulator import (
     AgentPolicy,
     NeverSamplePolicy,
@@ -149,10 +149,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         resolved["seed"] = args.seed
     if args.episodes is not None:
         resolved["training"]["episodes"] = args.episodes
-    episodes = int(resolved["training"]["episodes"])
+    episodes = resolved["training"]["episodes"]
     if episodes < 0:
         raise ConfigError(f"training.episodes (or --episodes) must be >= 0, got {episodes}")
-    seed = int(resolved["seed"])
+    seed = resolved["seed"]
     digest = config_digest(resolved)
 
     sac_cfg = build_sac_config(resolved)
@@ -160,7 +160,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     episode_cfg = build_episode_config(resolved, seed=seed)
     env = SamplingEnv(episode_cfg, clips)
     trainer = Trainer(env, sac_cfg, seed=seed,
-                      scene_refresh_every=int(resolved["training"]["scene_refresh_every"]))
+                      scene_refresh_every=resolved["training"]["scene_refresh_every"])
     start_episode = 0
     if args.resume:
         nets, doc = _read_snapshot(args.resume, resolved)
@@ -207,13 +207,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     resolved = _load_config_arg(args.config)
     if args.seed is not None:
         resolved["seed"] = args.seed
-    seed = int(resolved["seed"])
+    seed = resolved["seed"]
     digest = config_digest(resolved)
 
     nets, _ = _read_snapshot(args.snapshot, resolved)
 
     if args.clips:
-        from .ingest import parse_clip_json
         clips = [parse_clip_json(Path(p).read_text()) for p in args.clips]
     else:
         clips = build_clips(resolved["eval_clips"], args.base_dir)
@@ -226,36 +225,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    traces = {}
 
     def on_result(clip_name: str, policy_name: str, metrics) -> None:
-        if args.traces:
-            traces[(clip_name, policy_name)] = metrics.trace
-
-    rows = compare_policies(episode_cfg, clips, policies, seed=seed,
-                            record_trace=args.traces, on_result=on_result)
-    comparison_path = out_dir / "comparison.csv"
-    _write_csv(comparison_path, COMPARISON_COLUMNS, rows)
-    outputs.append(comparison_path)
-    for (clip_name, policy_name), trace in sorted(traces.items()):
         safe = f"trace_{clip_name}_{policy_name}".replace(":", "-").replace("/", "-")
         path = out_dir / f"{safe}.jsonl"
         with path.open("w") as fh:
-            for step in trace:
-                fh.write(json.dumps({
-                    "t": step.t,
-                    "action": step.action,
-                    "forced": step.forced,
-                    "packet_bits": step.packet_bits,
-                    "energy_j": step.energy_j,
-                    "deviation": step.deviation,
-                    "penalized": step.penalized,
-                    "case3_deviation": step.case3_deviation,
-                    "reward": step.reward,
-                    "chi": step.chi,
-                    "queue_len": step.queue_len,
-                }, separators=(",", ":")) + "\n")
+            for step in metrics.trace:
+                fh.write(json.dumps(dataclasses.asdict(step), separators=(",", ":")) + "\n")
         outputs.append(path)
+
+    rows = compare_policies(episode_cfg, clips, policies, seed=seed, record_trace=args.traces,
+                            on_result=on_result if args.traces else None)
+    comparison_path = out_dir / "comparison.csv"
+    _write_csv(comparison_path, COMPARISON_COLUMNS, rows)
+    outputs.append(comparison_path)
     _write_manifest(out_dir, "evaluate", digest, seed, outputs, started)
     print(f"evaluated {len(policies)} policies on {len(clips)} clips -> {comparison_path}")
     return EXIT_OK
@@ -271,21 +254,15 @@ def _check_line(name: str, value: float, reference: float, tolerance: float,
 
 
 def cmd_channel_check(args: argparse.Namespace) -> int:
+    if args.draws < 1:
+        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     resolved = _load_config_arg(args.config)
     if args.m is not None:
         resolved["channel"]["m"] = args.m
     if args.m_s is not None:
         resolved["channel"]["m_s"] = args.m_s
     link = build_link(resolved)
-    try:
-        fading = FadingParams(
-            m=float(resolved["channel"]["m"]),
-            m_s=float(resolved["channel"]["m_s"]),
-            g_bar=link.g_bar,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fading = link.fading(resolved["channel"]["m"], resolved["channel"]["m_s"])
 
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     draws = sample_gain(fading, rng, size=args.draws)

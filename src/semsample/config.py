@@ -2,15 +2,25 @@
 
 One JSON document drives training, evaluation and the channel self-check;
 every field has a default, so a config file only lists what it changes.
-Unknown keys are rejected to catch typos early.  The resolved document (all
+``DEFAULTS`` is also the schema: ``resolve_config`` checks every value
+against the JSON type of its default before anything else runs, and names
+the dotted key of the first mismatch.  An integer setting takes only an
+integer (not a bool, not 2.5); a float setting takes an integer or a finite
+float; strings, lists and objects must match their default, list items are
+checked against the default's first item, and each clip entry against the
+keys of its own kind.  Unknown keys are rejected to catch typos early.  Two
+keys take one more type: ``predictor.max_track_speed`` may be ``null``
+(no speed guard) and ``energy.scale`` may be a number in place of
+``"auto"``.  Values pass through unconverted, so the resolved document (all
 defaults filled in, the energy scale resolved to a number) is what gets
-hashed into run manifests.
+hashed into run manifests, and each section goes whole to its dataclass.
 """
 from __future__ import annotations
 
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Optional
 
@@ -117,30 +127,68 @@ DEFAULTS: dict[str, Any] = {
     "eval_policies": ["agent", "periodic:4", "periodic:5", "periodic:6", "periodic:7"],
 }
 
-_CLIP_KEYS = {
-    "generate": {"kind", "name", "frames", "lanes", "spawn_rate", "speed_mean",
-                 "speed_jitter", "class_mix", "seed"},
-    "file": {"kind", "path"},
-    "detrac": {"kind", "path", "frame_width", "frame_height"},
+# The entry each clip kind is checked against: its keys and their types.  A
+# generate entry's traffic keys default to TrafficGenConfig's, a detrac
+# entry's frame size to parse_detrac_xml's; "kind" and "path" are required.
+_CLIP_KINDS = {
+    "generate": DEFAULTS["train_clips"][0],
+    "file": {"kind": "file", "path": ""},
+    "detrac": {"kind": "detrac", "path": "", "frame_width": 960, "frame_height": 540},
 }
+
+# The keys that take one more type than their default's
+_ALSO = {"predictor.max_track_speed": None, "energy.scale": 1.0}
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               list: "a list", dict: "an object", type(None): "null"}
 
 
 def default_config() -> dict:
     return copy.deepcopy(DEFAULTS)
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
+def _fits(value: Any, default: Any) -> bool:
+    if isinstance(default, float):
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is type(default)
+
+
+def _check(value: Any, default: Any, where: str) -> None:
+    """Raise ``ConfigError`` unless ``value`` has the JSON type of ``default``.
+
+    Objects may only hold the default's keys, list items are checked against
+    the default's first item, and a clip entry against its own kind's entry.
+    """
+    types = (default, _ALSO[where]) if where in _ALSO else (default,)
+    if not any(_fits(value, t) for t in types):
+        names = " or ".join(_TYPE_NAMES[type(t)] for t in types)
+        raise ConfigError(f"{where} must be {names}, got {json.dumps(value)}")
+    if isinstance(value, dict):
+        if "kind" in default:
+            kind = value.get("kind")
+            if not isinstance(kind, str) or kind not in _CLIP_KINDS:
+                raise ConfigError(f"{where}.kind must be one of {sorted(_CLIP_KINDS)}, "
+                                  f"got {json.dumps(kind)}")
+            default = _CLIP_KINDS[kind]
+            if "path" in default and "path" not in value:
+                raise ConfigError(f"{where}.path is required for a {kind!r} clip")
+        for key, item in value.items():
+            inner = f"{where}.{key}" if where else key
+            if key not in default:
+                raise ConfigError(f"unknown config key {inner!r}")
+            _check(item, default[key], inner)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check(item, default[0], f"{where}[{i}]")
+
+
+def _merge(base: dict, override: dict) -> dict:
     for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base and path in ("", "channel", "reward", "energy", "predictor",
-                                        "episode", "state", "agent", "training"):
-            raise ConfigError(f"unknown config key {where!r}")
         if isinstance(value, dict) and isinstance(base.get(key), dict):
-            out[key] = _merge(base[key], value, where)
+            _merge(base[key], value)
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            base[key] = value
+    return base
 
 
 def load_config(path: str | Path) -> dict:
@@ -154,30 +202,24 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge(DEFAULTS, doc)
+    return _merge(default_config(), doc)
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Fill derived values (currently the auto energy scale) and validate."""
+    """Check every value against ``DEFAULTS``, then fill the auto energy scale."""
+    _check(cfg, DEFAULTS, "")
     out = copy.deepcopy(cfg)
     link = build_link(out)
     scale = out["energy"]["scale"]
     if scale == "auto":
         ref = expected_energy(
-            float(out["energy"]["anchor_bits"]),
+            out["energy"]["anchor_bits"],
             link,
             link.fading(out["channel"]["m"], out["channel"]["m_s"]),
         )
         out["energy"]["scale"] = (out["energy"]["anchor_mj"] * 1e-3) / ref
-    elif not isinstance(scale, (int, float)) or scale <= 0:
+    elif isinstance(scale, str) or scale <= 0:
         raise ConfigError(f"energy.scale must be 'auto' or a positive number, got {scale!r}")
-    for clip in out["train_clips"] + out["eval_clips"]:
-        kind = clip.get("kind")
-        if kind not in _CLIP_KEYS:
-            raise ConfigError(f"unknown clip kind {kind!r}")
-        extra = set(clip) - _CLIP_KEYS[kind]
-        if extra:
-            raise ConfigError(f"unknown clip keys {sorted(extra)} for kind {kind!r}")
     return out
 
 
@@ -187,74 +229,25 @@ def config_digest(resolved: dict) -> str:
 
 
 def build_link(cfg: dict) -> LinkBudget:
-    ch = cfg["channel"]
-    try:
-        return LinkBudget(
-            bandwidth_hz=float(ch["bandwidth_hz"]),
-            snr_threshold_db=float(ch["snr_threshold_db"]),
-            noise_psd_dbm_hz=float(ch["noise_psd_dbm_hz"]),
-            distance_m=float(ch["distance_m"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid channel settings: {exc}") from exc
+    return LinkBudget(**{k: v for k, v in cfg["channel"].items() if k not in ("m", "m_s")})
 
 
 def build_episode_config(resolved: dict, seed: Optional[int] = None) -> EpisodeConfig:
-    link = build_link(resolved)
-    st = resolved["state"]
-    rw = resolved["reward"]
-    pr = resolved["predictor"]
-    try:
-        return EpisodeConfig(
-            steps=int(resolved["episode"]["steps"]),
-            link=link,
-            fading_m=float(resolved["channel"]["m"]),
-            fading_m_s=float(resolved["channel"]["m_s"]),
-            predictor=PredictorConfig(
-                horizon=int(pr["horizon"]),
-                grid_width=int(pr["grid_width"]),
-                grid_height=int(pr["grid_height"]),
-                deviation_threshold=float(pr["deviation_threshold"]),
-                max_track_speed=(
-                    None if pr["max_track_speed"] is None
-                    else float(pr["max_track_speed"])
-                ),
-            ),
-            reward=RewardConfig(
-                w1=float(rw["w1"]),
-                w2=float(rw["w2"]),
-                w3=float(rw["w3"]),
-                w4=float(rw["w4"]),
-                deviation_threshold=float(rw["deviation_threshold"]),
-                penalty=float(rw["penalty"]),
-            ),
-            scaling=StateScaling(window=int(st["window"]), chi_cap=float(st["chi_cap"])),
-            energy_scale=float(resolved["energy"]["scale"]),
-            seed=int(resolved["seed"] if seed is None else seed),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return EpisodeConfig(
+        **resolved["episode"],
+        link=build_link(resolved),
+        fading_m=resolved["channel"]["m"],
+        fading_m_s=resolved["channel"]["m_s"],
+        predictor=PredictorConfig(**resolved["predictor"]),
+        reward=RewardConfig(**resolved["reward"]),
+        scaling=StateScaling(**resolved["state"]),
+        energy_scale=resolved["energy"]["scale"],
+        seed=resolved["seed"] if seed is None else seed,
+    )
 
 
 def build_sac_config(resolved: dict) -> SacConfig:
-    ag = resolved["agent"]
-    try:
-        return SacConfig(
-            widths=tuple(int(w) for w in ag["widths"]),
-            batch_size=int(ag["batch_size"]),
-            memory_capacity=int(ag["memory_capacity"]),
-            actor_lr=float(ag["actor_lr"]),
-            critic_lr=float(ag["critic_lr"]),
-            temperature_lr=float(ag["temperature_lr"]),
-            tau=float(ag["tau"]),
-            gamma=float(ag["gamma"]),
-            target_entropy=float(ag["target_entropy"]),
-            initial_temperature=float(ag["initial_temperature"]),
-            warmup_transitions=int(ag["warmup_transitions"]),
-            dtype=str(ag["dtype"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid agent settings: {exc}") from exc
+    return SacConfig(**{**resolved["agent"], "widths": tuple(resolved["agent"]["widths"])})
 
 
 def build_clips(entries: list[dict], base_dir: Optional[Path] = None) -> list[FootageClip]:
@@ -262,32 +255,18 @@ def build_clips(entries: list[dict], base_dir: Optional[Path] = None) -> list[Fo
     base = Path(base_dir) if base_dir else Path.cwd()
     clips: list[FootageClip] = []
     for entry in entries:
-        kind = entry["kind"]
+        spec = dict(entry)
+        kind = spec.pop("kind")
         if kind == "generate":
-            gen = TrafficGenConfig(
-                lanes=int(entry.get("lanes", 1)),
-                spawn_rate=float(entry.get("spawn_rate", 0.06)),
-                speed_mean=float(entry.get("speed_mean", 0.0125)),
-                speed_jitter=float(entry.get("speed_jitter", 0.001)),
-                class_mix=tuple(entry.get("class_mix", (0.85, 0.05, 0.07, 0.03))),
-                seed=int(entry.get("seed", 0)),
-            )
-            clips.append(
-                generate_traffic(gen, int(entry.get("frames", 400)), entry.get("name"))
-            )
+            frames, name = spec.pop("frames", 400), spec.pop("name", None)
+            if "class_mix" in spec:
+                spec["class_mix"] = tuple(spec["class_mix"])
+            clips.append(generate_traffic(TrafficGenConfig(**spec), frames, name))
         elif kind == "file":
-            path = base / entry["path"]
-            clips.append(parse_clip_json(path.read_text()))
+            clips.append(parse_clip_json((base / spec["path"]).read_text()))
         elif kind == "detrac":
-            path = base / entry["path"]
-            clips.append(
-                parse_detrac_xml(
-                    path.read_bytes(),
-                    frame_width=int(entry.get("frame_width", 960)),
-                    frame_height=int(entry.get("frame_height", 540)),
-                    name=path.stem,
-                )
-            )
+            path = base / spec.pop("path")
+            clips.append(parse_detrac_xml(path.read_bytes(), name=path.stem, **spec))
         else:
             raise ConfigError(f"unknown clip kind {kind!r}")
     return clips

@@ -121,6 +121,10 @@ def parse_detrac_xml(
     ``MAX_FRAME_GAP``, the first and last by less than ``MAX_CLIP_FRAMES``),
     and indices are rebased to start at 0.
     """
+    if frame_width < 1 or frame_height < 1:
+        raise ClipParseError(
+            f"frame size must be at least 1x1 pixels, got {frame_width}x{frame_height}"
+        )
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

@@ -1,8 +1,13 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from semsample import cli
+from semsample.simulator import StepTrace
+
+FIXTURE_XML = Path(__file__).parent / "fixtures" / "sample_detrac.xml"
 
 # small nets and short episodes, so a train -> evaluate -> resume round trip
 # runs in a few seconds
@@ -42,6 +47,14 @@ def test_channel_check_with_few_draws_fails_the_monte_carlo_lines(capsys):
     )
 
 
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_channel_check_with_no_draws_gives_exit_2(capsys, draws):
+    assert cli.main(["channel-check", "--draws", draws]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --draws must be >= 1, got {draws}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"bogus": 1}, "unknown config key 'bogus'"),
     ({"agent": {"widths": [8], "bogus": 1}}, "unknown config key 'agent.bogus'"),
@@ -49,8 +62,8 @@ def test_channel_check_with_few_draws_fails_the_monte_carlo_lines(capsys):
     ({"energy": {"mode": "expected"}}, "unknown config key 'energy.mode'"),
     ({"state": {"include_gap": False}}, "unknown config key 'state.include_gap'"),
     ({"agent": {"widths": [16, 0]}}, "widths must all be >= 1"),
-    ({"agent": {"widths": 5}}, "invalid agent settings: 'int' object is not iterable"),
-    ({"agent": {"batch_size": None}}, "invalid agent settings: int() argument"),
+    ({"agent": {"widths": 5}}, "agent.widths must be a list, got 5"),
+    ({"agent": {"batch_size": None}}, "agent.batch_size must be an integer, got null"),
     ({"agent": {"batch_size": 0}}, "batch_size must be >= 1"),
     ({"agent": {"memory_capacity": 7, "batch_size": 8, "warmup_transitions": 0}},
      "memory_capacity must be >= batch_size"),
@@ -68,6 +81,11 @@ def test_channel_check_with_few_draws_fails_the_monte_carlo_lines(capsys):
     ({"agent": {"dtype": "no-such-type"}}, "dtype must be a float type"),
     ({"training": {"episodes": -1}}, "training.episodes (or --episodes) must be >= 0, got -1"),
     ({"training": {"scene_refresh_every": 0}}, "scene_refresh_every must be >= 1, got 0"),
+    ({"training": {"episodes": None}}, "training.episodes must be an integer, got null"),
+    ({"agent": {"widths": [16.7, 8.2]}}, "agent.widths[0] must be an integer, got 16.7"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"state": {"window": True}}, "state.window must be an integer, got true"),
+    ({"eval_policies": "agent"}, 'eval_policies must be a list, got "agent"'),
 ])
 def test_a_bad_config_gives_exit_2(tmp_path, capsys, doc, message):
     config = _write(tmp_path / "config.json", doc)
@@ -201,3 +219,46 @@ def test_a_snapshot_with_bad_shapes_or_episode_count_gives_exit_2(tmp_path, caps
     assert cli.main(["train", "--config", config, "--resume", snapshot,
                      "--out", str(tmp_path / "resumed")]) == cli.EXIT_USAGE
     assert "trained_episodes '1' is not a count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width, height", [("0", "540"), ("-960", "540"), ("960", "0")])
+def test_ingest_with_no_frame_size_gives_exit_2(tmp_path, capsys, width, height):
+    out = tmp_path / "clip.json"
+    argv = ["ingest", str(FIXTURE_XML), "--width", width, "--height", height, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: frame size must be at least 1x1 pixels, got {width}x{height}\n"
+    assert not out.exists()
+
+
+def test_a_detrac_clip_with_no_frame_width_gives_exit_2(tmp_path, capsys):
+    clip = {"kind": "detrac", "path": str(FIXTURE_XML), "frame_width": 0, "frame_height": 540}
+    config = _write(tmp_path / "config.json", {**TINY, "train_clips": [clip]})
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", config, "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: frame size must be at least 1x1 pixels, got 0x540\n"
+    assert not out.exists()
+
+
+def test_evaluate_traces_hold_every_step_of_every_row(tmp_path):
+    config = _write(tmp_path / "config.json", TINY)
+    train, out = tmp_path / "train", tmp_path / "eval"
+    assert cli.main(["train", "--config", config, "--episodes", "1", "--out", str(train)]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--config", config, "--snapshot", str(train / "snapshot.json"),
+                     "--traces", "--out", str(out)]) == cli.EXIT_OK
+    rows = _rows(out / "comparison.csv")
+    names = [f"trace_{r['clip']}_{r['policy'].replace(':', '-')}.jsonl" for r in rows]
+    assert sorted(p.name for p in out.glob("trace_*.jsonl")) == sorted(names)
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert set(outputs) == {"comparison.csv", *names}
+
+    fields = [f.name for f in dataclasses.fields(StepTrace)]
+    for row, name in zip(rows, names):
+        steps = [json.loads(line) for line in (out / name).read_text().splitlines()]
+        assert [step["t"] for step in steps] == list(range(1, TINY["episode"]["steps"] + 1))
+        assert all(list(step) == fields for step in steps)
+        total = 0.0
+        for step in steps:
+            total += step["reward"]
+        assert total == float(row["cumulative_reward"])

@@ -43,6 +43,10 @@ __all__ = [
 
 MAX_PACKET_BITS = 64 * 22  # framing cap times record size
 
+# ReplayMemory allocates all its rows up front: 1M rows of the default
+# 153-feature float32 state are 0.6 GB, ten times the paper's 100k memory.
+MAX_MEMORY_CAPACITY = 1_000_000
+
 
 @dataclass(frozen=True)
 class RewardConfig:
@@ -76,7 +80,7 @@ class StateScaling:
     """Feature scaling so the networks see inputs roughly in [0, 1]."""
 
     window: int = 150
-    chi_cap: float = 16.0
+    chi_cap: float = 8.0
 
     @property
     def state_dim(self) -> int:
@@ -210,9 +214,9 @@ class SacConfig:
         rules = (
             ("widths", all(w >= 1 for w in self.widths), "must all be >= 1"),
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
-            ("memory_capacity",
-             self.memory_capacity >= max(self.batch_size, self.warmup_transitions),
-             "must be >= batch_size and >= warmup_transitions"),
+            ("memory_capacity", max(self.batch_size, self.warmup_transitions)
+             <= self.memory_capacity <= MAX_MEMORY_CAPACITY,
+             f"must be >= batch_size and >= warmup_transitions, and <= {MAX_MEMORY_CAPACITY}"),
             ("actor_lr", 0 < self.actor_lr < math.inf, "must be > 0"),
             ("critic_lr", 0 < self.critic_lr < math.inf, "must be > 0"),
             ("temperature_lr", 0 < self.temperature_lr < math.inf, "must be > 0"),
@@ -422,7 +426,8 @@ class Trainer:
         env: SamplingEnv,
         config: SacConfig,
         seed: int = 0,
-        scene_refresh_every: int = 20,
+        *,
+        scene_refresh_every: int,
     ):
         if scene_refresh_every < 1:
             raise ValueError(f"scene_refresh_every must be >= 1, got {scene_refresh_every}")

@@ -79,7 +79,7 @@ class LinkBudget:
         noise_dbm = self.noise_psd_dbm_hz + 10.0 * math.log10(self.bandwidth_hz)
         object.__setattr__(self, "noise_power_w", 10.0 ** ((noise_dbm - 30.0) / 10.0))
 
-    def fading(self, m: float = 6.0, m_s: float = 6.0) -> FadingParams:
+    def fading(self, m: float, m_s: float) -> FadingParams:
         """Fading parameters whose mean gain is this link's pathloss gain."""
         return FadingParams(m=m, m_s=m_s, g_bar=self.g_bar)
 

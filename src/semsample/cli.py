@@ -46,7 +46,14 @@ from .config import (
     load_config,
     resolve_config,
 )
-from .ingest import ClipParseError, clip_to_json, parse_clip_json, parse_detrac_xml
+from .ingest import (
+    FRAME_HEIGHT,
+    FRAME_WIDTH,
+    ClipParseError,
+    clip_to_json,
+    parse_clip_json,
+    parse_detrac_xml,
+)
 from .simulator import (
     AgentPolicy,
     NeverSamplePolicy,
@@ -377,8 +384,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="convert annotation XML to clip JSON")
     p_ingest.add_argument("xml", help="annotation XML file")
     p_ingest.add_argument("--out", help="output clip JSON path")
-    p_ingest.add_argument("--width", type=int, default=960, help="source frame width")
-    p_ingest.add_argument("--height", type=int, default=540, help="source frame height")
+    p_ingest.add_argument("--width", type=int, default=FRAME_WIDTH, help="source frame width")
+    p_ingest.add_argument("--height", type=int, default=FRAME_HEIGHT, help="source frame height")
     p_ingest.add_argument("--name", help="clip name override")
     p_ingest.set_defaults(func=cmd_ingest)
     return parser

@@ -2,6 +2,10 @@
 
 One JSON document drives training, evaluation and the channel self-check;
 every field has a default, so a config file only lists what it changes.
+Each default is written once: ``seed`` and the ``channel``, ``reward``,
+``predictor``, ``episode``, ``state`` and ``agent`` sections are read from
+the field defaults of the dataclasses they build; only ``energy``,
+``training``, the clips and ``eval_policies`` are written here.
 ``DEFAULTS`` is also the schema: ``resolve_config`` checks every value
 against the JSON type of its default before anything else runs, and names
 the dotted key of the first mismatch.  An integer setting takes only an
@@ -21,12 +25,15 @@ import copy
 import hashlib
 import json
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Optional
 
 from .agent import RewardConfig, SacConfig, StateScaling
 from .channel import LinkBudget, expected_energy
 from .ingest import (
+    FRAME_HEIGHT,
+    FRAME_WIDTH,
     FootageClip,
     TrafficGenConfig,
     generate_traffic,
@@ -53,24 +60,19 @@ class ConfigError(ValueError):
     """Configuration file is invalid."""
 
 
+def _defaults(cls) -> dict[str, Any]:
+    """The init fields of a config dataclass that have a default, as JSON."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.init and f.default is not MISSING}
+
+
+_EPISODE = _defaults(EpisodeConfig)  # steps, fading_m, fading_m_s, seed
+
 DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "channel": {
-        "m": 6.0,
-        "m_s": 6.0,
-        "bandwidth_hz": 1000.0,
-        "snr_threshold_db": 15.0,
-        "noise_psd_dbm_hz": -90.0,
-        "distance_m": 100.0,
-    },
-    "reward": {
-        "w1": 10.0,
-        "w2": -6.0,
-        "w3": 1.0,
-        "w4": 2.0,
-        "deviation_threshold": 0.07,
-        "penalty": 0.5,
-    },
+    "seed": _EPISODE["seed"],
+    "channel": {"m": _EPISODE["fading_m"], "m_s": _EPISODE["fading_m_s"],
+                **_defaults(LinkBudget)},
+    "reward": _defaults(RewardConfig),
     "energy": {
         # "auto" anchors the reward-facing energy of a reference packet
         # (anchor_bits) to anchor_mj millijoules; any float is used as-is
@@ -78,29 +80,10 @@ DEFAULTS: dict[str, Any] = {
         "anchor_mj": 0.015,
         "anchor_bits": 66,
     },
-    "predictor": {
-        "horizon": 5,
-        "grid_width": 120,
-        "grid_height": 80,
-        "deviation_threshold": 0.07,
-        "max_track_speed": 0.04,
-    },
-    "episode": {"steps": 150},
-    "state": {"window": 150, "chi_cap": 8.0},
-    "agent": {
-        "widths": [300, 200, 200],
-        "batch_size": 1024,
-        "memory_capacity": 100000,
-        "actor_lr": 1e-5,
-        "critic_lr": 2e-5,
-        "temperature_lr": 1e-5,
-        "tau": 0.2,
-        "gamma": 1.0,
-        "target_entropy": -1.0,
-        "initial_temperature": 1.0,
-        "warmup_transitions": 2000,
-        "dtype": "float32",
-    },
+    "predictor": _defaults(PredictorConfig),
+    "episode": {"steps": _EPISODE["steps"]},
+    "state": _defaults(StateScaling),
+    "agent": _defaults(SacConfig),
     "training": {"episodes": 1000, "scene_refresh_every": 20},
     "train_clips": [
         {"kind": "generate", "name": "train-sparse", "frames": 500, "lanes": 1,
@@ -133,7 +116,8 @@ DEFAULTS: dict[str, Any] = {
 _CLIP_KINDS = {
     "generate": DEFAULTS["train_clips"][0],
     "file": {"kind": "file", "path": ""},
-    "detrac": {"kind": "detrac", "path": "", "frame_width": 960, "frame_height": 540},
+    "detrac": {"kind": "detrac", "path": "", "frame_width": FRAME_WIDTH,
+               "frame_height": FRAME_HEIGHT},
 }
 
 # The keys that take one more type than their default's

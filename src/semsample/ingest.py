@@ -23,6 +23,8 @@ __all__ = [
     "ClipParseError",
     "MAX_FRAME_GAP",
     "MAX_CLIP_FRAMES",
+    "FRAME_WIDTH",
+    "FRAME_HEIGHT",
     "parse_detrac_xml",
     "clip_to_json",
     "parse_clip_json",
@@ -37,6 +39,9 @@ VEHICLE_TYPE_CODES = {
     "others": VehicleClass.OTHERS,
 }
 
+# UA-DETRAC's source frame size in pixels: the default scale of annotation
+# boxes, and the frame size recorded for generated traffic.
+FRAME_WIDTH, FRAME_HEIGHT = 960, 540
 
 # Frame numbers absent from an annotation file become empty scenes; a jump
 # larger than this between consecutive frames is rejected instead, so a short
@@ -106,8 +111,8 @@ def _normalized_box(
 
 def parse_detrac_xml(
     data: bytes | str,
-    frame_width: int = 960,
-    frame_height: int = 540,
+    frame_width: int = FRAME_WIDTH,
+    frame_height: int = FRAME_HEIGHT,
     name: Optional[str] = None,
 ) -> FootageClip:
     """Parse a tracking-annotation XML document into a clip.
@@ -412,7 +417,7 @@ def generate_traffic(config: TrafficGenConfig, num_frames: int, name: Optional[s
 
     return FootageClip(
         name=name or f"traffic-{config.seed}",
-        frame_width=960,
-        frame_height=540,
+        frame_width=FRAME_WIDTH,
+        frame_height=FRAME_HEIGHT,
         frames=tuple(frames),
     )

@@ -254,7 +254,7 @@ def _pixel_rect(box: BoundingBox, width: int, height: int) -> tuple[int, int, in
     return x1, y1, x2, y2
 
 
-def rasterize(scene: SceneAnnotation, width: int = 120, height: int = 80) -> VisualLayout:
+def rasterize(scene: SceneAnnotation, width: int, height: int) -> VisualLayout:
     """Paint a scene into a class-valued grid.
 
     Vehicles are painted in list order, so later vehicles overwrite earlier
@@ -339,7 +339,7 @@ def prediction_deviation(real: VisualLayout, predicted: VisualLayout) -> float:
     return _ratio_sum(zip(p.tolist(), (2 * n).tolist()))
 
 
-def penalized_deviation(deviation: float, threshold: float = 0.07, penalty: float = 0.5) -> float:
+def penalized_deviation(deviation: float, threshold: float, penalty: float) -> float:
     """Deviation with the over-threshold penalty applied, capped at 1."""
     if deviation < 0:
         raise ValueError(f"deviation must be >= 0, got {deviation}")

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .ingest import _clamp01
 from .layout import (
     BoundingBox,
     SceneAnnotation,
@@ -54,7 +55,7 @@ class PredictorConfig:
     grid_width: int = 120
     grid_height: int = 80
     deviation_threshold: float = 0.07
-    max_track_speed: Optional[float] = None
+    max_track_speed: Optional[float] = 0.04
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -68,10 +69,6 @@ class PredictorConfig:
 class Feedback(enum.Enum):
     NONE = "none"
     REQUEST_RESAMPLE = "request_resample"
-
-
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
 
 
 class ConstantVelocityPredictor:

@@ -60,7 +60,7 @@ class EpisodeConfig:
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
     scaling: StateScaling = field(default_factory=StateScaling)
-    energy_scale: float = 1.0
+    energy_scale: float = field(kw_only=True)
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -13,6 +13,7 @@ from semsample.agent import (
     Transition,
     temperature_loss_and_grad,
 )
+from semsample.config import default_config, resolve_config
 from semsample.ingest import TrafficGenConfig, generate_traffic
 from semsample.nets import Adam, Mlp
 from semsample.predictor import PredictorConfig
@@ -121,6 +122,8 @@ def test_replay_memory_rejects_oversized_batch():
 
 # -- trainer ---------------------------------------------------------------
 
+# the energy scale that the shipped config resolves to
+ENERGY_SCALE = resolve_config(default_config())["energy"]["scale"]
 SMALL_SAC = SacConfig(widths=(32, 32), batch_size=16, memory_capacity=200, warmup_transitions=16)
 
 
@@ -130,9 +133,11 @@ def _trainer(record_trace=False, config=SMALL_SAC):
         steps=30,
         predictor=PredictorConfig(grid_width=24, grid_height=16),
         scaling=StateScaling(window=10),
+        energy_scale=ENERGY_SCALE,
         seed=2,
     )
-    return Trainer(SamplingEnv(episode, [clip], record_trace=record_trace), config, seed=3)
+    return Trainer(SamplingEnv(episode, [clip], record_trace=record_trace), config, seed=3,
+                   scene_refresh_every=20)
 
 
 def _fill_memory(trainer, n):

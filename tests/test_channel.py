@@ -170,7 +170,7 @@ def test_duration_of_single_record():
 
 def test_expected_energy_zero_for_empty_packet():
     link = LinkBudget()
-    assert expected_energy(0, link, link.fading()) == 0.0
+    assert expected_energy(0, link, link.fading(6.0, 6.0)) == 0.0
 
 
 def test_expected_energy_moment_identity():
@@ -200,7 +200,7 @@ def test_expected_energy_moment_identity():
 
 def test_expected_energy_monte_carlo():
     link = LinkBudget()
-    params = link.fading()
+    params = link.fading(6.0, 6.0)
     rng = np.random.default_rng(11)
     draws = sample_gain(params, rng, size=1_000_000)
     mc = (
@@ -225,7 +225,7 @@ def test_expected_energy_monotonicity_grid():
                     snr_threshold_db=float(th), noise_psd_dbm_hz=base_psd,
                     distance_m=float(d),
                 )
-                values[i, j, k] = expected_energy(float(bits), link, link.fading())
+                values[i, j, k] = expected_energy(float(bits), link, link.fading(6.0, 6.0))
     assert (np.diff(values, axis=0) > 0).all()  # more bits cost more
     assert (np.diff(values, axis=1) > 0).all()  # higher threshold costs more
     assert (np.diff(values, axis=2) > 0).all()  # weaker gain costs more

@@ -86,6 +86,9 @@ def test_channel_check_with_no_draws_gives_exit_2(capsys, draws):
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"state": {"window": True}}, "state.window must be an integer, got true"),
     ({"eval_policies": "agent"}, 'eval_policies must be a list, got "agent"'),
+    ({"agent": {"memory_capacity": 1000000000000}},
+     "memory_capacity must be >= batch_size and >= warmup_transitions, and <= 1000000, "
+     "got 1000000000000"),
 ])
 def test_a_bad_config_gives_exit_2(tmp_path, capsys, doc, message):
     config = _write(tmp_path / "config.json", doc)

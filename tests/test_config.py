@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,26 @@ def test_the_default_config_builds_these_dataclasses():
                                           class_mix=(0.85, 0.03, 0.09, 0.03), seed=203),
                          400, "eval-fast"),
     ]
+
+
+def test_the_dataclass_defaults_are_the_shipped_config():
+    resolved = config.resolve_config(config.default_config())
+    episode = config.build_episode_config(resolved)
+    assert RewardConfig() == episode.reward
+    assert PredictorConfig() == episode.predictor
+    assert StateScaling() == episode.scaling
+    assert SacConfig() == config.build_sac_config(resolved)
+    assert EpisodeConfig(energy_scale=episode.energy_scale) == episode
+
+
+def test_the_resolved_configs_are_pinned():
+    # manifests record these digests as config_sha256; a change here is a
+    # change of the experiment that every run of the default config does
+    assert config.config_digest(config.resolve_config(config.default_config())) == (
+        "3391ab82fef45de9322ba85db3a5ff6626886368cc40d480d883fd409e177053")
+    digest_config = Path(__file__).parents[1] / "bench" / "digest_config.json"
+    assert config.config_digest(config.resolve_config(config.load_config(digest_config))) == (
+        "cd313e643b63247f102a225af47f50d081512dfda5e31797fbe94852f0e3f8be")
 
 
 def test_resolving_leaves_the_input_and_the_defaults_alone():

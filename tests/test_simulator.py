@@ -1,11 +1,15 @@
 import pytest
 
 from semsample import predictor, simulator
+from semsample.config import default_config, resolve_config
 from semsample.ingest import TrafficGenConfig, generate_traffic
 from semsample.predictor import PredictorConfig
 from semsample.simulator import EpisodeConfig, PeriodicPolicy, run_episode
 
 from oracles import prediction_deviation_oracle, semantic_change_oracle
+
+# the energy scale that the shipped config resolves to
+ENERGY_SCALE = resolve_config(default_config())["energy"]["scale"]
 
 
 def _recorder(fn, calls):
@@ -28,7 +32,8 @@ def dense_episode(monkeypatch):
     monkeypatch.setattr(predictor, "prediction_deviation",
                         _recorder(predictor.prediction_deviation, case3_calls))
     clip = generate_traffic(TrafficGenConfig(lanes=2, spawn_rate=0.5, seed=7), 200, "dense")
-    config = EpisodeConfig(steps=60, predictor=PredictorConfig(grid_width=24, grid_height=16), seed=5)
+    config = EpisodeConfig(steps=60, predictor=PredictorConfig(grid_width=24, grid_height=16),
+                           energy_scale=ENERGY_SCALE, seed=5)
     metrics, _ = run_episode(config, clip, PeriodicPolicy(4), record_trace=True)
     return metrics, chi_calls, dev_calls, case3_calls
 
@@ -72,7 +77,8 @@ def test_total_energy_is_bootstrap_plus_step_energies(dense_episode):
 def test_a_clip_shorter_than_the_horizon_truncates_the_episode(frames, truncated):
     # an episode needs steps + 2 frames: the bootstrap pair, then one per step
     clip = generate_traffic(TrafficGenConfig(spawn_rate=0.3, seed=2), frames, "short")
-    config = EpisodeConfig(steps=50, predictor=PredictorConfig(grid_width=24, grid_height=16))
+    config = EpisodeConfig(steps=50, predictor=PredictorConfig(grid_width=24, grid_height=16),
+                           energy_scale=ENERGY_SCALE)
     metrics, _ = run_episode(config, clip, PeriodicPolicy(3), record_trace=True)
     assert metrics.truncated is truncated
     assert metrics.steps == len(metrics.trace) == min(50, frames - 2)

@@ -232,7 +232,12 @@ class SacConfig:
 
 
 class SacNetworks:
-    """Actor, twin critics with soft-updated targets, and the temperature."""
+    """Actor, twin critics with soft-updated targets, and the temperature.
+
+    The twin critics run as one stacked net, ``critics``, and their targets
+    as ``target_critics`` (see :meth:`Mlp.stack`); ``q1``, ``q2``,
+    ``target_q1`` and ``target_q2`` are plain nets viewing their halves.
+    """
 
     N_ACTIONS = 2
     NETWORKS = ("actor", "q1", "q2", "target_q1", "target_q2")
@@ -243,13 +248,17 @@ class SacNetworks:
         # twin critics draw independent initial weights: identically
         # initialized twins would stay identical and defeat the min() guard
         self.actor = Mlp(dims, rng, dtype)
-        self.q1 = Mlp(dims, rng, dtype)
-        self.q2 = Mlp(dims, rng, dtype)
-        self.target_q1 = self.q1.copy()
-        self.target_q2 = self.q2.copy()
+        q1 = Mlp(dims, rng, dtype)
+        q2 = Mlp(dims, rng, dtype)
+        self._stack_critics(q1, q2, q1, q2)
         self.log_temperature = float(math.log(config.initial_temperature))
         self.state_dim = state_dim
         self.config = config
+
+    def _stack_critics(self, q1: Mlp, q2: Mlp, target_q1: Mlp, target_q2: Mlp) -> None:
+        """Copy the twins and their targets into the two stacked nets."""
+        self.critics, (self.q1, self.q2) = Mlp.stack([q1, q2])
+        self.target_critics, (self.target_q1, self.target_q2) = Mlp.stack([target_q1, target_q2])
 
     @property
     def temperature(self) -> float:
@@ -289,13 +298,16 @@ class SacNetworks:
             nets.state_dim = int(doc["state_dim"])
             nets.log_temperature = float(doc["log_temperature"])
             expected = (nets.state_dim, *config.widths, cls.N_ACTIONS)
+            loaded = []
             for name in cls.NETWORKS:
                 net = Mlp.from_arrays(doc[name])
                 if net.dims != expected:
                     raise ValueError(
                         f"{name} shapes {net.dims} incompatible with config {expected}"
                     )
-                setattr(nets, name, net)
+                loaded.append(net)
+            nets.actor = loaded[0]
+            nets._stack_critics(*loaded[1:])
         except KeyError as exc:
             raise ValueError(f"malformed snapshot: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -325,10 +337,8 @@ def critic_targets(nets: SacNetworks, batch: Batch) -> np.ndarray:
     """Soft Bellman targets: reward plus the entropy-regularized value of the
     next state under the current policy and the min of the target critics."""
     probs, logp, _ = _policy_terms(nets, batch.next_states)
-    q_next = np.minimum(
-        nets.target_q1.forward(batch.next_states),
-        nets.target_q2.forward(batch.next_states),
-    )
+    q1_next, q2_next = nets.target_critics.forward(batch.next_states)
+    q_next = np.minimum(q1_next, q2_next)
     v_next = (probs * (q_next - nets.temperature * logp)).sum(axis=1)
     cont = (~batch.terminals).astype(v_next.dtype)
     return batch.rewards + nets.config.gamma * cont * v_next
@@ -338,21 +348,21 @@ def critic_loss_and_grads(nets: SacNetworks, batch: Batch):
     """Half mean squared Bellman error for both critics (shared targets).
 
     Returns (loss, grads_q1, grads_q2); the loss is the sum of the two
-    critic losses and targets are treated as constants.
+    critic losses and targets are treated as constants.  Both critics make
+    one stacked forward and one stacked backward pass.
     """
     y = critic_targets(nets, batch)
     n = batch.states.shape[0]
     rows = np.arange(n)
+    out, cache = nets.critics.forward_cached(batch.states)
+    diff = out[:, rows, batch.actions] - y
     loss = 0.0
-    grads = []
-    for q in (nets.q1, nets.q2):
-        out, cache = q.forward_cached(batch.states)
-        diff = out[rows, batch.actions] - y
-        loss += float(0.5 * np.mean(diff**2))
-        d_out = np.zeros_like(out)
-        d_out[rows, batch.actions] = diff / n
-        grads.append(q.backward(cache, d_out))
-    return loss, grads[0], grads[1]
+    for d in diff:
+        loss += float(0.5 * np.mean(d**2))
+    d_out = np.zeros_like(out)
+    d_out[:, rows, batch.actions] = diff / n
+    grads = nets.critics.backward(cache, d_out)
+    return loss, [(dw[0], db[0]) for dw, db in grads], [(dw[1], db[1]) for dw, db in grads]
 
 
 def actor_loss_and_grads(nets: SacNetworks, batch: Batch):
@@ -360,7 +370,8 @@ def actor_loss_and_grads(nets: SacNetworks, batch: Batch):
     expectation over the two actions computed exactly.  Critics are constant.
     """
     probs, logp, cache = _policy_terms(nets, batch.states)
-    q_min = np.minimum(nets.q1.forward(batch.states), nets.q2.forward(batch.states))
+    q1, q2 = nets.critics.forward(batch.states)
+    q_min = np.minimum(q1, q2)
     f = nets.temperature * logp - q_min
     per_state = (probs * f).sum(axis=1, keepdims=True)
     loss = float(per_state.mean())
@@ -387,7 +398,7 @@ def temperature_loss_and_grad(nets: SacNetworks, batch: Batch, target_entropy: f
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     """Blend target parameters toward the source: target = tau*source + (1-tau)*target."""
-    if target.dims != source.dims:
+    if target.dims != source.dims or target.n_stacked != source.n_stacked:
         raise ValueError(f"shape mismatch {target.dims} vs {source.dims}")
     target.flat *= 1.0 - tau
     target.flat += tau * source.flat
@@ -447,8 +458,9 @@ class Trainer:
 
     def _build_optimizers(self) -> None:
         cfg = self.config
-        self.opt_q1 = Adam([self.nets.q1.flat], cfg.critic_lr)
-        self.opt_q2 = Adam([self.nets.q2.flat], cfg.critic_lr)
+        # Adam is elementwise, so one step over [q1.flat | q2.flat] equals
+        # a step on each twin with the shared lr and step count
+        self.opt_critics = Adam([self.nets.critics.flat], cfg.critic_lr)
         self.opt_actor = Adam([self.nets.actor.flat], cfg.actor_lr)
         # the log temperature stays a float on the networks; its optimizer
         # steps a 0-d copy of it
@@ -469,16 +481,14 @@ class Trainer:
         dtype = np.dtype(cfg.dtype)
         batch = self.memory.sample(cfg.batch_size, dtype)
         c_loss, g1, g2 = critic_loss_and_grads(self.nets, batch)
-        self._apply(self.opt_q1, self.nets.q1, g1)
-        self._apply(self.opt_q2, self.nets.q2, g2)
+        self._apply(self.opt_critics, self.nets.critics, g1 + g2)
         a_loss, ga = actor_loss_and_grads(self.nets, batch)
         self._apply(self.opt_actor, self.nets.actor, ga)
         t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy)
         log_t = np.array(self.nets.log_temperature)
         self.opt_temperature.step([log_t], [np.array(g_log_t)])
         self.nets.log_temperature = float(log_t)
-        soft_update(self.nets.target_q1, self.nets.q1, cfg.tau)
-        soft_update(self.nets.target_q2, self.nets.q2, cfg.tau)
+        soft_update(self.nets.target_critics, self.nets.critics, cfg.tau)
         self.gradient_steps += 1
         if not (math.isfinite(c_loss) and math.isfinite(a_loss) and math.isfinite(t_loss)):
             raise TrainingDiverged(
@@ -489,7 +499,8 @@ class Trainer:
 
     @staticmethod
     def _apply(opt: Adam, net: Mlp, grads) -> None:
-        """One Adam step on ``net.flat`` with the [(dW, db), ...] of backward."""
+        """One Adam step on ``net.flat`` with the [(dW, db), ...] of backward,
+        the members' lists end to end for a stacked net."""
         opt.step([net.flat], [np.concatenate([np.ravel(a) for pair in grads for a in pair])])
 
     def run_episode(self, episode_index: int) -> EpisodeMetrics:

@@ -1,21 +1,26 @@
 """Destination-side predictive frame interpolation.
 
 While the source stays silent, the destination keeps displaying something:
-a queue of pre-computed predicted layouts is popped once per sensing
-interval, refilled either from the two most recently received scenes (after
-a reception) or from the two most recently displayed layouts (when the queue
-runs dry mid-silence).
+a queue of predicted layouts is popped once per sensing interval, refilled
+either from the two most recently received scenes (after a reception) or
+from the two most recently displayed layouts (when the queue runs dry
+mid-silence).
 
 The predictor extrapolates constant velocity.  It works on annotations when
 it has them (per-track box velocity) and falls back to per-class centroid
-shift when only raster layouts are available.
+shift when only raster layouts are available.  A round computes its
+velocities (or class shifts) at once, but builds and rasterizes each layout
+only when it is first popped or indexed: the next reception usually comes
+within one or two intervals and replaces the rest of the round unseen.
 """
 from __future__ import annotations
 
 import enum
+import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .layout import (
 
 __all__ = [
     "PredictorConfig",
+    "PredictedRound",
     "ConstantVelocityPredictor",
     "Feedback",
     "DestinationState",
@@ -66,6 +72,41 @@ class PredictorConfig:
             raise ValueError("max_track_speed must be positive or None")
 
 
+class PredictedRound(Sequence):
+    """The unpopped layouts of one prediction round, built on first access.
+
+    ``build(k)`` makes the layout for the k-th interval after the round's
+    newer input, k = 1 .. horizon; each is built once and kept until popped.
+    Index 0 is the next layout :meth:`popleft` returns.
+    """
+
+    def __init__(self, horizon: int, build: Optional[Callable[[int], VisualLayout]]):
+        self._build = build
+        self._layouts: list[Optional[VisualLayout]] = [None] * horizon
+        self._popped = 0
+
+    def __len__(self) -> int:
+        return len(self._layouts) - self._popped
+
+    def __getitem__(self, index: int) -> VisualLayout:
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("prediction round index out of range")
+        k = self._popped + i
+        layout = self._layouts[k]
+        if layout is None:
+            layout = self._layouts[k] = self._build(k + 1)
+        return layout
+
+    def popleft(self) -> VisualLayout:
+        layout = self[0]
+        self._layouts[self._popped] = None
+        self._popped += 1
+        return layout
+
+
 class Feedback(enum.Enum):
     NONE = "none"
     REQUEST_RESAMPLE = "request_resample"
@@ -74,9 +115,11 @@ class Feedback(enum.Enum):
 class ConstantVelocityPredictor:
     """Linear extrapolation of per-track boxes or per-class pixel masks.
 
-    Both methods produce the next ``horizon`` layouts from two past
+    Both methods predict the next ``horizon`` layouts from two past
     observations ``gap`` intervals apart: :meth:`predict_scenes` from two
-    annotated scenes, :meth:`predict_layouts` from two raster layouts.
+    annotated scenes, :meth:`predict_layouts` from two raster layouts.  They
+    return a :class:`PredictedRound` that builds each layout when it is first
+    read.
     """
 
     def __init__(self, config: PredictorConfig):
@@ -106,8 +149,8 @@ class ConstantVelocityPredictor:
                 if cap is not None and max(abs(v) for v in velocity) > cap:
                     velocity = (0.0, 0.0)  # implausible pairing
             tracks.append((rec, velocity))
-        layouts = []
-        for k in range(1, horizon + 1):
+
+        def build(k: int) -> VisualLayout:
             records = []
             for rec, (vx, vy) in tracks:
                 b1 = rec.box.b1 + k * vx
@@ -124,10 +167,9 @@ class ConstantVelocityPredictor:
                     )
                 )
             scene = SceneAnnotation(frame_index=0, vehicles=tuple(records))
-            layouts.append(
-                rasterize(scene, self.config.grid_width, self.config.grid_height)
-            )
-        return layouts
+            return rasterize(scene, self.config.grid_width, self.config.grid_height)
+
+        return PredictedRound(horizon, build)
 
     def predict_layouts(self, older, newer, gap, horizon):
         if gap < 1:
@@ -147,16 +189,17 @@ class ConstantVelocityPredictor:
                 dr = (rows.mean() - old_rows.mean()) / gap
                 dc = (cols.mean() - old_cols.mean()) / gap
             shifts.append((int(cls), rows, cols, dr, dc))
-        layouts = []
-        for k in range(1, horizon + 1):
+
+        def build(k: int) -> VisualLayout:
             grid = np.zeros((height, width), dtype=np.uint8)
             for code, rows, cols, dr, dc in shifts:
                 r = rows + int(np.rint(k * dr))
                 c = cols + int(np.rint(k * dc))
                 keep = (r >= 0) & (r < height) & (c >= 0) & (c < width)
                 grid[r[keep], c[keep]] = code
-            layouts.append(VisualLayout(grid))
-        return layouts
+            return VisualLayout(grid)
+
+        return PredictedRound(horizon, build)
 
 
 class DestinationState:
@@ -173,7 +216,7 @@ class DestinationState:
     ):
         self.config = config
         self.predictor = predictor or ConstantVelocityPredictor(config)
-        self.pending: deque[VisualLayout] = deque()
+        self.pending = PredictedRound(0, None)  # one round, its popped layouts gone
         self._last_displayed: deque[VisualLayout] = deque(maxlen=2)
         self._last_received: Optional[tuple[SceneAnnotation, int]] = None
         self._last_t: Optional[int] = None  # last interval advanced
@@ -198,9 +241,7 @@ class DestinationState:
             )
         state._last_received = (newer, 0)
         state._last_t = 0
-        state.pending = deque(
-            state.predictor.predict_scenes(older, newer, 1, config.horizon)
-        )
+        state.pending = state.predictor.predict_scenes(older, newer, 1, config.horizon)
         return state
 
     @property
@@ -238,9 +279,7 @@ class DestinationState:
         if not self.pending:
             # Case 2b: chain a new round from the last two displayed layouts
             older, newer = self._last_displayed[0], self._last_displayed[1]
-            self.pending = deque(
-                self.predictor.predict_layouts(older, newer, 1, self.config.horizon)
-            )
+            self.pending = self.predictor.predict_layouts(older, newer, 1, self.config.horizon)
         predicted = self.pending.popleft()
         feedback = Feedback.NONE
         self.last_comparison = None
@@ -254,9 +293,7 @@ class DestinationState:
             self.last_comparison = deviation
             prev_scene, prev_time = self._last_received
             gap = t - prev_time
-            self.pending = deque(
-                self.predictor.predict_scenes(prev_scene, scene, gap, self.config.horizon)
-            )
+            self.pending = self.predictor.predict_scenes(prev_scene, scene, gap, self.config.horizon)
             self._last_received = (scene, t)
             if deviation > self.config.deviation_threshold:
                 feedback = Feedback.REQUEST_RESAMPLE

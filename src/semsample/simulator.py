@@ -221,8 +221,9 @@ class SamplingEnv:
     def _observe(self) -> np.ndarray:
         scene = self._frame(self._t)
         chi = semantic_change(scene, self._clip.frames[self._t_hat_frame])
-        self._window = np.roll(self._window, 1)
-        self._window[0] = chi
+        w = self._window  # shifted in place: features() copies it
+        w[1:] = w[:-1]
+        w[0] = chi
         self._last_chi = chi
         return self.scaling.features(22 * scene.vehicle_count, self._window)
 

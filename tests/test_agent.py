@@ -195,11 +195,12 @@ def test_load_networks_restarts_every_optimizer():
     _fill_memory(trainer, 16)
     for _ in range(3):
         trainer.update()
-    optimizers = [trainer.opt_q1, trainer.opt_q2, trainer.opt_actor, trainer.opt_temperature]
-    assert [opt.t for opt in optimizers] == [3, 3, 3, 3]
+    optimizers = [trainer.opt_critics, trainer.opt_actor, trainer.opt_temperature]
+    assert [opt.t for opt in optimizers] == [3, 3, 3]
     trainer.load_networks(SacNetworks.from_dict(trainer.nets.to_dict(), SMALL_SAC))
-    optimizers = [trainer.opt_q1, trainer.opt_q2, trainer.opt_actor, trainer.opt_temperature]
-    assert [opt.t for opt in optimizers] == [0, 0, 0, 0]
+    optimizers = [trainer.opt_critics, trainer.opt_actor, trainer.opt_temperature]
+    assert [opt.t for opt in optimizers] == [0, 0, 0]
+    assert optimizers[0].m[0].size == 2 * trainer.nets.q1.flat.size
     for opt in optimizers:
         assert not any(m.any() for m in opt.m) and not any(v.any() for v in opt.v)
 
@@ -285,8 +286,109 @@ def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
         for name in SacNetworks.NETWORKS:
             for got, want in zip(getattr(trainer.nets, name).parameters(), getattr(ref, name).parameters()):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the twins share one optimizer over [q1.flat | q2.flat]: each
+        # member's moments are its half of the joint ones
+        halves = {"q1": slice(None, ref.q1.flat.size), "q2": slice(ref.q1.flat.size, None),
+                  "actor": slice(None)}
         for name, opt in opts.items():
-            flat_opt = getattr(trainer, "opt_" + name)
+            flat_opt = trainer.opt_actor if name == "actor" else trainer.opt_critics
             assert flat_opt.t == opt.t
-            assert np.array_equal(flat_opt.m[0], np.concatenate([m.ravel() for m in opt.m]))
-            assert np.array_equal(flat_opt.v[0], np.concatenate([v.ravel() for v in opt.v]))
+            half = halves[name]
+            assert np.array_equal(flat_opt.m[0][half], np.concatenate([m.ravel() for m in opt.m]))
+            assert np.array_equal(flat_opt.v[0][half], np.concatenate([v.ravel() for v in opt.v]))
+
+
+# -- stacked twin critics --------------------------------------------------
+
+def _twins(dtype, dims=(7, 16, 8, 3)):
+    rng = np.random.default_rng(5)
+    return Mlp(dims, rng, dtype), Mlp(dims, rng, dtype)
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 64])
+def test_stacked_passes_equal_each_members_own_pass_bit_for_bit(dtype, rows):
+    nets = _twins(dtype)
+    stacked, members = Mlp.stack(nets)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(rows, 7))
+    grad_out = rng.normal(size=(2, rows, 3))
+    # batch 1 goes in as one 1-D state, as select_action passes it
+    out, cache = stacked.forward_cached(x[0] if rows == 1 else x)
+    grads = stacked.backward(cache, grad_out)
+    assert out.shape == (2, rows, 3)
+    for j, own in enumerate(nets):
+        own_out, own_cache = own.forward_cached(x[0] if rows == 1 else x)
+        assert _bits(out[j]) == _bits(own_out)
+        assert _bits(cache[0]) == _bits(own_cache[0])
+        for got, want in zip(cache[1:], own_cache[1:]):
+            assert _bits(got[j]) == _bits(want)
+        for (dw, db), (own_dw, own_db) in zip(grads, own.backward(own_cache, grad_out[j])):
+            assert _bits(dw[j]) == _bits(own_dw) and _bits(db[j]) == _bits(own_db)
+        assert _bits(members[j].forward(x)) == _bits(own.forward(x))
+
+
+def test_stacked_net_is_its_members_flats_end_to_end():
+    nets = _twins(np.float32)
+    stacked, (first, second) = Mlp.stack(nets)
+    assert stacked.flat.tobytes() == nets[0].flat.tobytes() + nets[1].flat.tobytes()
+    assert not any(np.shares_memory(stacked.flat, n.flat) for n in nets)  # a copy
+    assert [w.shape for w in stacked.weights] == [(2, 7, 16), (2, 16, 8), (2, 8, 3)]
+    assert [b.shape for b in stacked.biases] == [(2, 1, 16), (2, 1, 8), (2, 1, 3)]
+    for net in (stacked, first, second):
+        assert all(np.shares_memory(p, stacked.flat) for p in net.parameters())
+    # writes through a member's views reach the stacked net, and back
+    first.weights[1][2, 3] = 7.0
+    second.biases[0][4] = -3.0
+    assert stacked.weights[1][0, 2, 3] == 7.0 and stacked.biases[0][1, 0, 4] == -3.0
+    stacked.flat[-1] = 11.0
+    assert second.biases[-1][-1] == 11.0
+    assert first.flat.tobytes() + second.flat.tobytes() == stacked.flat.tobytes()
+    for member in (first, second):
+        _assert_views_of_flat(member)
+    clone = stacked.copy()
+    assert clone.n_stacked == 2 and clone.flat.tobytes() == stacked.flat.tobytes()
+    assert not np.shares_memory(clone.flat, stacked.flat)
+    assert all(np.shares_memory(p, clone.flat) for p in clone.parameters())
+    with pytest.raises(ValueError):
+        Mlp.stack([nets[0], Mlp((7, 16, 3), np.random.default_rng(0))])
+    with pytest.raises(ValueError):
+        agent.soft_update(stacked, first, 0.5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_adam_step_and_soft_update_on_the_stack_equal_per_member_steps(dtype):
+    nets = _twins(dtype)
+    targets = [Mlp(n.dims, np.random.default_rng(9 + i), dtype) for i, n in enumerate(nets)]
+    stacked, _ = Mlp.stack(nets)
+    stacked_target, _ = Mlp.stack(targets)
+    rng = np.random.default_rng(7)
+    grads = [rng.normal(size=n.flat.size).astype(dtype) for n in nets]
+    joint = Adam([stacked.flat], 1e-3)
+    own = [Adam([n.flat], 1e-3) for n in nets]
+    for _ in range(3):
+        joint.step([stacked.flat], [np.concatenate(grads)])
+        for opt, net, g in zip(own, nets, grads):
+            opt.step([net.flat], [g])
+        agent.soft_update(stacked_target, stacked, 0.2)
+        for target, net in zip(targets, nets):
+            agent.soft_update(target, net, 0.2)
+    assert stacked.flat.tobytes() == b"".join(n.flat.tobytes() for n in nets)
+    assert stacked_target.flat.tobytes() == b"".join(t.flat.tobytes() for t in targets)
+    assert joint.m[0].tobytes() == b"".join(opt.m[0].tobytes() for opt in own)
+    assert joint.v[0].tobytes() == b"".join(opt.v[0].tobytes() for opt in own)
+
+
+def test_sac_critics_are_stacked_and_the_named_twins_view_them():
+    nets = SacNetworks(5, SMALL_SAC, np.random.default_rng(0))
+    for doc_nets in (nets, SacNetworks.from_dict(nets.to_dict(), SMALL_SAC)):
+        for stacked, twins in ((doc_nets.critics, ("q1", "q2")),
+                               (doc_nets.target_critics, ("target_q1", "target_q2"))):
+            assert stacked.n_stacked == 2
+            assert stacked.flat.tobytes() == b"".join(getattr(doc_nets, t).flat.tobytes() for t in twins)
+            assert all(np.shares_memory(getattr(doc_nets, t).flat, stacked.flat) for t in twins)
+        assert not np.shares_memory(doc_nets.critics.flat, doc_nets.target_critics.flat)

@@ -290,3 +290,74 @@ def test_step_requires_bootstrap():
     dest = DestinationState(CFG)
     with pytest.raises(RuntimeError):
         dest.step(1, None)
+
+
+# -- rounds built on pop ------------------------------------------------------------
+
+
+def _counting_rasterize(monkeypatch):
+    import semsample.predictor as predictor_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rasterize(*args, **kwargs)
+
+    monkeypatch.setattr(predictor_module, "rasterize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("silent", range(CFG.horizon + 1))
+def test_destination_rasterizes_only_the_predictions_it_pops(monkeypatch, silent):
+    calls = _counting_rasterize(monkeypatch)
+    dest = boot()
+    assert len(calls) == 2  # the two bootstrap receptions, displayed
+    for t in range(1, silent + 1):
+        dest.step(t, None)
+    assert len(calls) - 2 == silent
+
+
+def test_fully_iterated_round_equals_hand_extrapolated_boxes(monkeypatch):
+    # dyadic boxes and velocities keep every extrapolated edge exact
+    older = scene(rec(0, 0.25, w=0.125), rec(2, 0.125, y=0.5, w=0.125))
+    newer = scene(rec(0, 0.3125, w=0.125), rec(1, 0.625), rec(2, 0.0625, y=0.5, w=0.125))
+    gap = 2  # track 0 moves +1/32 per interval, track 2 -1/32, track 1 is new
+    velocity = {0: 1 / 32, 1: 0.0, 2: -1 / 32}
+    calls = _counting_rasterize(monkeypatch)
+    round_ = ConstantVelocityPredictor(CFG).predict_scenes(older, newer, gap, 5)
+    assert calls == [] and len(round_) == 5  # nothing built yet
+    got = list(round_)
+    assert len(calls) == 5
+    def clamp(v):
+        return min(max(v, 0.0), 1.0)
+
+    expected = []
+    for k in range(1, 6):
+        records = []
+        for r in newer.vehicles:
+            dx = k * velocity[r.track_id]
+            b = r.box
+            box = BoundingBox(clamp(b.b1 + dx), b.b2, clamp(b.b3 + dx), b.b4)
+            records.append(VehicleRecord(r.track_id, r.vehicle_class, box))
+        expected.append(rasterize(scene(*records), 120, 80))
+    assert got == expected
+    assert expected[4].grid[:, 0].any()  # track 2 reached the left edge, clamped
+    assert round_[-1] is got[-1] and round_[0] is got[0]  # built once, kept
+    assert len(calls) == 5
+    with pytest.raises(IndexError):
+        round_[5]
+
+
+def test_queue_counts_down_and_refills():
+    dest = boot()
+    counts = []
+    for t in range(1, 8):
+        counts.append(dest.queue_len)
+        dest.step(t, None)
+    # the bootstrap round runs out after t=5; t=6 chains a new round and pops it
+    assert counts == [5, 4, 3, 2, 1, 0, 4]
+    assert dest.queue_len == 3
+    assert len(list(dest.pending)) == 3
+    dest.step(8, encode_message(scene(rec(0, 0.2))))
+    assert dest.queue_len == 5  # a reception starts a fresh round

@@ -43,6 +43,9 @@ __all__ = [
 
 MAX_PACKET_BITS = 64 * 22  # framing cap times record size
 
+# version 2 packs each net's weights as raw little-endian bytes in base64
+SNAPSHOT_VERSION = 2
+
 # ReplayMemory allocates all its rows up front: 1M rows of the default
 # 153-feature float32 state are 0.6 GB, ten times the paper's 100k memory.
 MAX_MEMORY_CAPACITY = 1_000_000
@@ -181,10 +184,11 @@ class ReplayMemory:
         for row in np.flatnonzero(self._has_aside[idx]):
             next_states[row] = self._aside[int(idx[row])]
         return Batch(
-            states=self._states[idx].astype(dtype),
+            # the fancy-indexed gathers are copies already
+            states=self._states[idx].astype(dtype, copy=False),
             actions=self._actions[idx].astype(np.int64),
-            rewards=self._rewards[idx].astype(dtype),
-            next_states=next_states.astype(dtype),
+            rewards=self._rewards[idx].astype(dtype, copy=False),
+            next_states=next_states.astype(dtype, copy=False),
             terminals=self._terminals[idx],
         )
 
@@ -270,7 +274,7 @@ class SacNetworks:
     def to_dict(self) -> dict:
         return {
             "format": "semsample-sac-snapshot",
-            "version": 1,
+            "version": SNAPSHOT_VERSION,
             "package_version": _pkg_version,
             "state_dim": self.state_dim,
             "widths": list(self.config.widths),
@@ -290,8 +294,11 @@ class SacNetworks:
         config raises ``ValueError``."""
         if not isinstance(doc, dict):
             raise ValueError(f"snapshot must be a JSON object, got {type(doc).__name__}")
-        if doc.get("format") != "semsample-sac-snapshot" or doc.get("version") != 1:
+        if doc.get("format") != "semsample-sac-snapshot":
             raise ValueError("unrecognized snapshot format")
+        if doc.get("version") != SNAPSHOT_VERSION:
+            raise ValueError(f"snapshot version {doc.get('version')!r} is not supported; "
+                             f"this reader takes version {SNAPSHOT_VERSION}")
         nets = object.__new__(cls)
         nets.config = config
         try:
@@ -396,12 +403,19 @@ def temperature_loss_and_grad(nets: SacNetworks, batch: Batch, target_entropy: f
     return loss, grad_log_theta
 
 
+# soft_update blends in blocks of this many values, so its temporary
+# tau * source stays small
+SOFT_UPDATE_BLOCK = 1 << 14
+
+
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     """Blend target parameters toward the source: target = tau*source + (1-tau)*target."""
     if target.dims != source.dims or target.n_stacked != source.n_stacked:
         raise ValueError(f"shape mismatch {target.dims} vs {source.dims}")
     target.flat *= 1.0 - tau
-    target.flat += tau * source.flat
+    for start in range(0, target.flat.size, SOFT_UPDATE_BLOCK):
+        block = slice(start, start + SOFT_UPDATE_BLOCK)
+        target.flat[block] += tau * source.flat[block]
 
 
 def select_action(
@@ -465,6 +479,9 @@ class Trainer:
         # the log temperature stays a float on the networks; its optimizer
         # steps a 0-d copy of it
         self.opt_temperature = Adam([np.zeros(())], cfg.temperature_lr)
+        # the gradient vector each net's step gathers its layers' gradients into
+        self._flat_grads = {self.opt_critics: np.empty_like(self.nets.critics.flat),
+                            self.opt_actor: np.empty_like(self.nets.actor.flat)}
 
     def load_networks(self, nets: SacNetworks) -> None:
         """Adopt previously trained networks (optimizer state starts fresh)."""
@@ -482,6 +499,7 @@ class Trainer:
         batch = self.memory.sample(cfg.batch_size, dtype)
         c_loss, g1, g2 = critic_loss_and_grads(self.nets, batch)
         self._apply(self.opt_critics, self.nets.critics, g1 + g2)
+        del g1, g2  # fresh arrays: free them before the actor's pass makes its own
         a_loss, ga = actor_loss_and_grads(self.nets, batch)
         self._apply(self.opt_actor, self.nets.actor, ga)
         t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy)
@@ -497,11 +515,11 @@ class Trainer:
             )
         return c_loss, a_loss, t_loss
 
-    @staticmethod
-    def _apply(opt: Adam, net: Mlp, grads) -> None:
+    def _apply(self, opt: Adam, net: Mlp, grads) -> None:
         """One Adam step on ``net.flat`` with the [(dW, db), ...] of backward,
         the members' lists end to end for a stacked net."""
-        opt.step([net.flat], [np.concatenate([np.ravel(a) for pair in grads for a in pair])])
+        flat_grad = np.concatenate([np.ravel(a) for pair in grads for a in pair], out=self._flat_grads[opt])
+        opt.step([net.flat], [flat_grad])
 
     def run_episode(self, episode_index: int) -> EpisodeMetrics:
         """Play one stochastic episode, updating after every step once the

@@ -12,9 +12,24 @@ per member and layer, each the same BLAS call as the member's own pass.
 Its ``flat`` vector is the members' vectors end to end, ``[q1.flat |
 q2.flat]`` for two, and the members are returned as views into it, so Adam
 and the soft update step all of them in one pass.
+
+Passes write into buffers that each net keeps and reuses, one set per row
+count it has seen: the hidden activations of :meth:`Mlp.forward_cached`,
+and the deltas and ReLU masks of :meth:`Mlp.backward`.  A multi-MB array
+made fresh on every call is handed back to the OS when freed and faults
+its pages in again on the next call.  So a cache holds its hidden
+activations only until the next pass of the same net on as many rows.
+What outlives the call is always fresh: the output (and so what
+:meth:`Mlp.forward` returns) and the gradients of :meth:`Mlp.backward`.
+
+:meth:`Mlp.to_arrays` packs ``flat`` as base64 of its little-endian bytes,
+with that element type (``"<f4"`` for float32) in ``stored`` beside the
+net's ``dtype``; :meth:`Mlp.from_arrays` decodes the packed values and casts
+them to ``dtype``, so a float32 net read as float64 gets its values exactly.
 """
 from __future__ import annotations
 
+import base64
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +52,9 @@ class Mlp:
     layouts end to end in ``flat`` and views them as ``(n, in, out)``
     weights and ``(n, 1, out)`` biases.  It takes the same 2-D input as its
     members and returns their outputs as ``(n, rows, out)``.
+
+    Each net keeps its pass buffers in ``_buffers`` (see the module
+    docstring); a copy or a stack starts with none.
     """
 
     def __init__(self, dims: Sequence[int], rng: np.random.Generator, dtype=np.float32):
@@ -56,6 +74,7 @@ class Mlp:
         ..., or ``n_stacked`` of them end to end."""
         self.flat = flat
         self.n_stacked = n_stacked
+        self._buffers: dict[tuple[str, int], list[np.ndarray]] = {}
         lead = (n_stacked,) if n_stacked else ()
         rows = flat.reshape(*lead, -1)
         self.weights, self.biases = [], []
@@ -89,21 +108,33 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
+    def _buffers_for(self, kind: str, rows: int) -> list[np.ndarray]:
+        """One array per hidden layer, ``(rows, width)`` or ``(n, rows,
+        width)``: ReLU masks for ``kind`` "mask", else of the net's dtype.
+        Made when first asked for at ``rows`` rows, reused after."""
+        key = (kind, rows)
+        if key not in self._buffers:
+            lead = (self.n_stacked,) if self.n_stacked else ()
+            dtype = bool if kind == "mask" else self.dtype
+            self._buffers[key] = [np.empty((*lead, rows, d), dtype) for d in self.dims[1:-1]]
+        return self._buffers[key]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, _ = self.forward_cached(x)
         return out
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Forward pass keeping post-activation values for backprop."""
+        """Forward pass keeping post-activation values for backprop.  The
+        output is fresh; the hidden activations in the cache are this net's
+        buffers, valid until its next pass on as many rows."""
         a = np.asarray(x, dtype=self.dtype)
         if a.ndim == 1:
             a = a[None, :]
+        hidden = self._buffers_for("act", a.shape[-2])
         cache = [a]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            # in place on the fresh product: a stacked pass's temporaries
-            # are n times a member's, and each new one costs page faults
-            a = a @ w
+            a = a @ w if i == last else np.matmul(a, w, out=hidden[i])
             a += b
             if i != last:
                 np.maximum(a, 0.0, out=a)  # ReLU
@@ -116,17 +147,20 @@ class Mlp:
         """Gradients of a scalar loss w.r.t. all weights and biases, given
         the loss gradient at the output.  Returns [(dW, db), ...] per layer;
         a stacked net's carry the stack axis first, ``(n, in, out)`` and
-        ``(n, out)``."""
+        ``(n, out)``.  The gradients are fresh arrays; the deltas between
+        layers go through this net's buffers."""
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers  # type: ignore[list-item]
         delta = np.asarray(grad_out, dtype=self.dtype)
         if delta.ndim == 1:
             delta = delta[None, :]
+        rows = delta.shape[-2]
+        deltas, masks = self._buffers_for("delta", rows), self._buffers_for("mask", rows)
         for i in range(self.n_layers - 1, -1, -1):
             a_in = cache[i]
             grads[i] = (np.swapaxes(a_in, -1, -2) @ delta, delta.sum(axis=-2))
             if i > 0:
-                delta = delta @ np.swapaxes(self.weights[i], -1, -2)
-                delta *= cache[i] > 0  # ReLU mask of the input activation
+                delta = np.matmul(delta, np.swapaxes(self.weights[i], -1, -2), out=deltas[i - 1])
+                delta *= np.greater(cache[i], 0, out=masks[i - 1])  # ReLU mask of the input activation
         return grads
 
     def parameters(self) -> list[np.ndarray]:
@@ -137,32 +171,44 @@ class Mlp:
         return self._new(self.flat.copy(), self.n_stacked)
 
     def to_arrays(self) -> dict:
+        """``flat`` packed as base64 of its little-endian bytes."""
+        stored = self.dtype.newbyteorder("<")
         return {
             "dims": list(self.dims),
             "dtype": self.dtype.name,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
+            "stored": stored.str,
+            "flat": base64.b64encode(self.flat.astype(stored, copy=False).tobytes()).decode("ascii"),
         }
 
     @classmethod
     def from_arrays(cls, doc: dict) -> "Mlp":
-        """Inverse of :meth:`to_arrays`.  A missing key, a wrong type or a
-        layer shape that disagrees with ``dims`` raises ``ValueError``."""
+        """Inverse of :meth:`to_arrays`, the values cast from the packed
+        type to ``dtype``.  A missing key, a wrong type, a packed type that
+        is not a little-endian float, bad base64 or a byte count that
+        disagrees with ``dims`` raises ``ValueError``."""
         net = object.__new__(cls)
         try:
             net.dims = tuple(int(d) for d in doc["dims"])
             net.dtype = np.dtype(doc["dtype"])
-            net.weights = [np.array(w, dtype=net.dtype) for w in doc["weights"]]
-            net.biases = [np.array(b, dtype=net.dtype) for b in doc["biases"]]
+            stored = np.dtype(doc["stored"])
+            text = doc["flat"]
         except KeyError as exc:
             raise ValueError(f"network missing key {exc}") from exc
         except TypeError as exc:
             raise ValueError(f"network has a value of the wrong type: {exc}") from exc
-        shapes = [(w.shape, b.shape) for w, b in zip(net.weights, net.biases)]
-        expected = [((i, o), (o,)) for i, o in zip(net.dims[:-1], net.dims[1:])]
-        if net.dtype.kind != "f" or len(net.biases) != len(net.weights) or shapes != expected:
-            raise ValueError(f"network dtype or layer shapes inconsistent with dims {net.dims}")
-        net._view(np.concatenate([np.ravel(a) for a in net.parameters()]))
+        try:
+            packed = base64.b64decode(text, validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise ValueError(f"network flat is not base64: {exc}") from exc
+        if net.dtype.kind != "f" or len(net.dims) < 2 or min(net.dims) < 1:
+            raise ValueError(f"network dtype {net.dtype} or dims {net.dims} is not a float net")
+        if stored.kind != "f" or stored.str != doc["stored"] or stored.str[0] != "<":
+            raise ValueError(f"network stored type {doc['stored']!r} is not a little-endian float type")
+        count = sum(i * o + o for i, o in zip(net.dims[:-1], net.dims[1:]))
+        if len(packed) != count * stored.itemsize:
+            raise ValueError(f"network flat holds {len(packed)} bytes, dims {net.dims} "
+                             f"need {count * stored.itemsize} as {stored.str}")
+        net._view(np.frombuffer(packed, dtype=stored).astype(net.dtype))
         return net
 
 
@@ -176,16 +222,22 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        # two scratch arrays per parameter array, in place of fresh temporaries
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (s, r) in zip(params, grads, self.m, self.v, self._scratch):
             g = g.astype(p.dtype, copy=False)
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=s)
             v *= b2
-            v += (1.0 - b2) * np.square(g)
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            v += np.multiply(1.0 - b2, np.square(g, out=s), out=s)
+            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            step = np.multiply(self.lr, np.divide(m, bias1, out=s), out=s)
+            denom = np.sqrt(np.divide(v, bias2, out=r), out=r)
+            denom += self.eps
+            p -= np.divide(step, denom, out=s)

@@ -1,4 +1,7 @@
+import base64
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,3 +395,116 @@ def test_sac_critics_are_stacked_and_the_named_twins_view_them():
             assert stacked.flat.tobytes() == b"".join(getattr(doc_nets, t).flat.tobytes() for t in twins)
             assert all(np.shares_memory(getattr(doc_nets, t).flat, stacked.flat) for t in twins)
         assert not np.shares_memory(doc_nets.critics.flat, doc_nets.target_critics.flat)
+
+
+# -- packed snapshot -------------------------------------------------------
+
+@pytest.mark.parametrize("dtype, stored", [(np.float32, "<f4"), (np.float64, "<f8")])
+def test_a_net_packs_its_flat_as_little_endian_base64_and_reads_back_bit_for_bit(dtype, stored):
+    net = Mlp((5, 4, 3, 2), np.random.default_rng(0), dtype)
+    doc = json.loads(json.dumps(net.to_arrays()))
+    assert doc["dtype"] == np.dtype(dtype).name and doc["stored"] == stored
+    assert base64.b64decode(doc["flat"]) == net.flat.astype(stored).tobytes()
+    loaded = Mlp.from_arrays(doc)
+    assert loaded.dtype == net.dtype and loaded.dims == net.dims
+    assert _bits(loaded.flat) == _bits(net.flat)
+
+
+def test_every_snapshot_net_reads_back_bit_for_bit_the_stacked_members_too():
+    trainer = _trainer()
+    _fill_memory(trainer, 16)
+    for _ in range(3):
+        trainer.update()
+    doc = json.loads(json.dumps(trainer.nets.to_dict()))
+    assert doc["version"] == 2
+    loaded = SacNetworks.from_dict(doc, SMALL_SAC)
+    for name in SacNetworks.NETWORKS:  # q1 and target_q2 are views of stacked nets
+        assert _bits(getattr(loaded, name).flat) == _bits(getattr(trainer.nets, name).flat)
+    assert loaded.log_temperature == trainer.nets.log_temperature
+
+
+def test_a_float32_net_read_as_float64_gets_the_float32_values_exactly():
+    net = Mlp((5, 4, 3, 2), np.random.default_rng(0), np.float32)
+    doc = {**net.to_arrays(), "dtype": "float64"}
+    loaded = Mlp.from_arrays(doc)
+    assert _bits(loaded.flat) == _bits(net.flat.astype(np.float64))
+
+
+# -- reused buffers --------------------------------------------------------
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_later_forward_leaves_an_earlier_output_unchanged(stacked):
+    net = Mlp.stack(_twins(np.float32))[0] if stacked else _twins(np.float32)[0]
+    rng = np.random.default_rng(1)
+    first = net.forward(rng.normal(size=(8, 7)))
+    kept = first.copy()
+    second = net.forward(rng.normal(size=(8, 7)))
+    assert _bits(first) == _bits(kept) and not np.shares_memory(first, second)
+
+
+def test_a_second_loss_call_leaves_the_first_calls_gradients_unchanged():
+    trainer = _trainer()
+    _fill_memory(trainer, 32)
+    nets = trainer.nets
+    batches = [trainer.memory.sample(16) for _ in range(2)]
+    for loss_and_grads in (lambda b: agent.critic_loss_and_grads(nets, b)[1:],
+                           lambda b: agent.actor_loss_and_grads(nets, b)[1:]):
+        first = [a for grads in loss_and_grads(batches[0]) for pair in grads for a in pair]
+        kept = [a.copy() for a in first]
+        loss_and_grads(batches[1])
+        assert [_bits(a) for a in first] == [_bits(a) for a in kept]
+
+
+def test_a_warm_update_allocates_a_small_transient_peak():
+    """At widths 64-64 and batch 256 on the default 153 features, the
+    fresh arrays of one update are the batch (313 KiB) and the gradients
+    (110 KiB); the passes run in the nets' buffers."""
+    clip = generate_traffic(TrafficGenConfig(spawn_rate=0.3, seed=4), 80, "small")
+    episode = EpisodeConfig(steps=30, predictor=PredictorConfig(grid_width=24, grid_height=16),
+                            energy_scale=ENERGY_SCALE, seed=2)
+    config = SacConfig(widths=(64, 64), batch_size=256, memory_capacity=512, warmup_transitions=256)
+    trainer = Trainer(SamplingEnv(episode, [clip]), config, seed=3, scene_refresh_every=20)
+    assert trainer.env.state_dim == 153
+    _fill_memory(trainer, 256)
+    for _ in range(2):
+        trainer.update()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trainer.update()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 1024
+
+
+def test_adam_equals_the_textbook_step_with_fresh_temporaries_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for dtype in (np.float32, np.float64):
+        params = [rng.normal(size=(4, 3)).astype(dtype), np.array(0.5, dtype)]
+        ref = [p.copy() for p in params]
+        opt = Adam(params, 1e-3)
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t in range(1, 4):
+            grads = [rng.normal(size=p.shape).astype(dtype) for p in params]
+            opt.step(params, grads)
+            for p, g, mi, vi in zip(ref, grads, m, v):
+                mi *= b1
+                mi += (1.0 - b1) * g
+                vi *= b2
+                vi += (1.0 - b2) * np.square(g)
+                p -= 1e-3 * (mi / (1.0 - b1**t)) / (np.sqrt(vi / (1.0 - b2**t)) + eps)
+            assert [_bits(p) for p in params] == [_bits(p) for p in ref]
+
+
+def test_soft_update_in_blocks_equals_the_one_pass_blend_bit_for_bit():
+    rng = np.random.default_rng(3)
+    source, target = (Mlp((200, 100, 2), rng) for _ in range(2))
+    assert source.flat.size > agent.SOFT_UPDATE_BLOCK
+    ref = target.flat.copy()
+    ref *= 1.0 - 0.2
+    ref += 0.2 * source.flat
+    agent.soft_update(target, source, 0.2)
+    assert _bits(target.flat) == _bits(ref)

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 from pathlib import Path
@@ -176,9 +177,9 @@ def test_a_snapshot_trained_on_other_state_settings_gives_exit_2(tmp_path, capsy
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"format": "semsample-sac-snapshot", "version": 1}, "missing key 'state_dim'"),
+    ({"format": "semsample-sac-snapshot", "version": 2}, "missing key 'state_dim'"),
     ([1, 2], "snapshot must be a JSON object, got list"),
-    ({"format": "semsample-sac-snapshot", "version": 1, "state_dim": "many",
+    ({"format": "semsample-sac-snapshot", "version": 2, "state_dim": "many",
       "log_temperature": 0.0}, "invalid literal"),
 ])
 @pytest.mark.parametrize("command", ["evaluate", "resume"])
@@ -203,12 +204,27 @@ def test_a_snapshot_with_bad_shapes_or_episode_count_gives_exit_2(tmp_path, caps
     doc = json.loads((tmp_path / "first" / "snapshot.json").read_text())
     capsys.readouterr()
 
-    bad_layer = json.loads(json.dumps(doc))
-    bad_layer["q2"]["weights"][1] = bad_layer["q2"]["weights"][1][:-1]  # drop a row
-    snapshot = _write(tmp_path / "bad_layer.json", bad_layer)
+    q2 = doc["q2"]
+    truncated = base64.b64encode(base64.b64decode(q2["flat"])[:-4]).decode()  # drop the last value
+    for i, (net, message) in enumerate([
+        ({**q2, "flat": truncated}, "network flat holds 11076 bytes, dims (153, 16, 16, 2) need 11080 as <f4"),
+        ({**q2, "flat": q2["flat"][:-2] + "!="}, "network flat is not base64"),
+        ({**q2, "stored": "<i4"}, "network stored type '<i4' is not a little-endian float type"),
+        ({**q2, "stored": ">f4"}, "network stored type '>f4' is not a little-endian float type"),
+        ({**q2, "stored": "float32"}, "network stored type 'float32' is not a little-endian float type"),
+    ]):
+        snapshot = _write(tmp_path / f"bad_net_{i}.json", {**doc, "q2": net})
+        assert cli.main(["evaluate", "--config", config, "--snapshot", snapshot,
+                         "--out", str(tmp_path / "eval")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed snapshot: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    snapshot = _write(tmp_path / "version_1.json", {**doc, "version": 1})
     assert cli.main(["evaluate", "--config", config, "--snapshot", snapshot,
                      "--out", str(tmp_path / "eval")]) == cli.EXIT_USAGE
-    assert "layer shapes inconsistent with dims" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: snapshot version 1 is not supported; this reader takes version 2\n")
 
     narrow = {**TINY, "agent": {**TINY["agent"], "widths": [8, 8]}}
     assert cli.main(["evaluate", "--config", _write(tmp_path / "narrow.json", narrow),

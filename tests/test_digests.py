@@ -16,7 +16,7 @@ CONFIG = Path(__file__).resolve().parent.parent / "bench" / "digest_config.json"
 
 DIGESTS = {
     "train/curves.csv": "1b2802a26f86a3ba2cd33bbf289b17387efa8b2bd867a2ba663014a711811fc3",
-    "train/snapshot.json": "8cc852323e2d8421691b0ae5833789f7a9c1b46797a71fd7922dc548d9b63d23",
+    "train/snapshot.json": "80c1ef81300fb466d284a4f7c60ab0953ebf9c905489b9f77b900fc35a8a3911",
     "eval/comparison.csv": "f41318d0727adf00d664ea6be513ad38ada9dbc263b05117821f2bd2f4c3e5f9",
 }
 

@@ -62,6 +62,14 @@ class RewardConfig:
     deviation_threshold: float = 0.07
     penalty: float = 0.5
 
+    def __post_init__(self):
+        # a negative w1 can take the log of a negative number, a negative
+        # penalty can push a penalized deviation below 0
+        if self.w1 < 0:
+            raise ValueError(f"w1 must be >= 0, got {self.w1!r}")
+        if self.penalty < 0:
+            raise ValueError(f"penalty must be >= 0, got {self.penalty!r}")
+
 
 def reward(action: int, energy_j: float, penalized_dev: float, cfg: RewardConfig) -> float:
     """Immediate reward: energy cost when sampling, deviation cost when not.
@@ -84,6 +92,12 @@ class StateScaling:
 
     window: int = 150
     chi_cap: float = 8.0
+
+    def __post_init__(self):
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window!r}")
+        if not 0 < self.chi_cap < math.inf:
+            raise ValueError(f"chi_cap must be > 0, got {self.chi_cap!r}")
 
     @property
     def state_dim(self) -> int:
@@ -442,8 +456,10 @@ class TrainingDiverged(RuntimeError):
 class Trainer:
     """Runs episodes against an environment, one gradient step per env step.
 
-    The scene is re-randomized every ``scene_refresh_every`` episodes; within
-    a block every episode replays the same initial scene.
+    Each episode iterates the environment's one episode loop,
+    ``SamplingEnv.play``.  The scene is re-randomized every
+    ``scene_refresh_every`` episodes; within a block every episode replays
+    the same initial scene.
     """
 
     def __init__(
@@ -521,22 +537,16 @@ class Trainer:
         flat_grad = np.concatenate([np.ravel(a) for pair in grads for a in pair], out=self._flat_grads[opt])
         opt.step([net.flat], [flat_grad])
 
+    def _decide(self, features: np.ndarray, t: int) -> int:
+        return select_action(features, self.nets, "stochastic", self.action_rng)
+
     def run_episode(self, episode_index: int) -> EpisodeMetrics:
         """Play one stochastic episode, updating after every step once the
         replay memory is warm; returns the environment's episode record."""
         new_scene = episode_index % self.scene_refresh_every == 0
-        state = self.env.reset(new_scene=new_scene)
-        done = False
-        while not done:
-            action = select_action(state, self.nets, "stochastic", self.action_rng)
-            next_state, r, done, info = self.env.step(action)
-            self.memory.push(Transition(state, info["action"], r, next_state, done))
+        for transition in self.env.play(self._decide, new_scene=new_scene):
+            self.memory.push(transition)
             if len(self.memory) >= max(self.config.warmup_transitions, self.config.batch_size):
                 self.update()
-            state = next_state
         self.episodes_trained += 1
         return self.env.metrics
-
-    def train(self, episodes: int, start_episode: int = 0) -> list[EpisodeMetrics]:
-        """Run ``episodes`` episodes and return the per-episode curves."""
-        return [self.run_episode(ep) for ep in range(start_episode, start_episode + episodes)]

@@ -29,6 +29,8 @@ __all__ = [
     "expected_energy",
 ]
 
+MAX_SHAPE = 2.0 ** 53
+
 
 @dataclass(frozen=True)
 class FadingParams:
@@ -40,11 +42,15 @@ class FadingParams:
 
     def __post_init__(self) -> None:
         # m > 1 keeps the inverse-gain moment finite (power control would
-        # otherwise need unbounded mean power); m_s > 1 keeps the mean finite
-        if not self.m > 1.0:
-            raise ValueError(f"multipath shape m must be > 1, got {self.m}")
-        if not self.m_s > 1.0:
-            raise ValueError(f"shadowing shape m_s must be > 1, got {self.m_s}")
+        # otherwise need unbounded mean power); m_s > 1 keeps the mean finite.
+        # The closed forms take log-gamma differences such as
+        # lgamma(m - 1) - lgamma(m): from MAX_SHAPE on, a shape plus or minus
+        # 1 can round to the shape itself, which loses the difference (and
+        # past about 2.5e305 lgamma overflows)
+        if not 1.0 < self.m < MAX_SHAPE:
+            raise ValueError(f"multipath shape m must be > 1 and < 2**53, got {self.m}")
+        if not 1.0 < self.m_s < MAX_SHAPE:
+            raise ValueError(f"shadowing shape m_s must be > 1 and < 2**53, got {self.m_s}")
         if not self.g_bar > 0.0:
             raise ValueError(f"average gain must be > 0, got {self.g_bar}")
 

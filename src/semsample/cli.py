@@ -55,6 +55,7 @@ from .ingest import (
     parse_detrac_xml,
 )
 from .simulator import (
+    METRIC_COLUMNS,
     AgentPolicy,
     NeverSamplePolicy,
     PeriodicPolicy,
@@ -68,8 +69,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-CURVE_COLUMNS = ("episode", "cumulative_reward", "total_energy_j", "mean_deviation", "sample_count")
-COMPARISON_COLUMNS = ("clip", "policy", "cumulative_reward", "total_energy_j", "mean_deviation", "sample_count")
+CURVE_COLUMNS = ("episode", *METRIC_COLUMNS)
+COMPARISON_COLUMNS = ("clip", "policy", *METRIC_COLUMNS)
 
 
 def _fmt(value) -> str:
@@ -81,9 +82,10 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, digest: str, seed: int,
-                    outputs: list[Path], started: float) -> Path:
+                    outputs: list[Path], started: float, status: str = "ok") -> Path:
     manifest = {
         "command": command,
+        "status": status,
         "package_version": __version__,
         "config_sha256": digest,
         "seed": seed,
@@ -180,30 +182,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log.info("training %d episodes (seed %d) on %d clips", episodes, seed, len(clips))
+    curves_path = out_dir / "curves.csv"
+    rows = []
     try:
-        curves = trainer.train(episodes, start_episode=start_episode)
+        for episode in range(start_episode, start_episode + episodes):
+            metrics = trainer.run_episode(episode)
+            log.debug("episode %d reward %.3f", episode, metrics.cumulative_reward)
+            rows.append({"episode": episode, **{c: getattr(metrics, c) for c in METRIC_COLUMNS}})
     except TrainingDiverged as exc:
+        # a record of the finished episodes, but no snapshot: the last step
+        # may have left non-finite weights
+        _write_csv(curves_path, CURVE_COLUMNS, rows)
+        _write_manifest(out_dir, "train", digest, seed, [curves_path], started, status="diverged")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    for episode, metrics in enumerate(curves, start_episode):
-        log.debug("episode %d reward %.3f", episode, metrics.cumulative_reward)
 
     snapshot_path = out_dir / "snapshot.json"
     snapshot_path.write_text(json.dumps(
         _snapshot_doc(trainer, resolved, start_episode + episodes),
         separators=(",", ":"),
     ))
-    curves_path = out_dir / "curves.csv"
-    _write_csv(curves_path, CURVE_COLUMNS, [
-        {
-            "episode": episode,
-            "cumulative_reward": m.cumulative_reward,
-            "total_energy_j": m.total_energy_j,
-            "mean_deviation": m.mean_deviation,
-            "sample_count": m.sample_count,
-        }
-        for episode, m in enumerate(curves, start_episode)
-    ])
+    _write_csv(curves_path, CURVE_COLUMNS, rows)
     _write_manifest(out_dir, "train", digest, seed, [snapshot_path, curves_path], started)
     print(f"trained {episodes} episodes -> {snapshot_path}")
     return EXIT_OK

@@ -194,14 +194,19 @@ def resolve_config(cfg: dict) -> dict:
     _check(cfg, DEFAULTS, "")
     out = copy.deepcopy(cfg)
     link = build_link(out)
-    scale = out["energy"]["scale"]
+    energy = out["energy"]
+    if energy["anchor_bits"] < 1:
+        raise ConfigError(f"energy.anchor_bits must be >= 1, got {energy['anchor_bits']!r}")
+    if energy["anchor_mj"] <= 0:
+        raise ConfigError(f"energy.anchor_mj must be a positive number, got {energy['anchor_mj']!r}")
+    scale = energy["scale"]
     if scale == "auto":
         ref = expected_energy(
-            out["energy"]["anchor_bits"],
+            energy["anchor_bits"],
             link,
             link.fading(out["channel"]["m"], out["channel"]["m_s"]),
         )
-        out["energy"]["scale"] = (out["energy"]["anchor_mj"] * 1e-3) / ref
+        energy["scale"] = (energy["anchor_mj"] * 1e-3) / ref
     elif isinstance(scale, str) or scale <= 0:
         raise ConfigError(f"energy.scale must be 'auto' or a positive number, got {scale!r}")
     return out

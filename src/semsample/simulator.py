@@ -7,11 +7,14 @@ each step the policy sees the current observation and picks transmit/skip;
 transmitting costs closed-form expected energy, skipping displays a predicted
 layout and is scored by its deviation from the true one.  A destination
 resample request forces the next step's action to transmit.
+
+``SamplingEnv.play`` is the one episode loop: training and evaluation both
+iterate it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol, Sequence
+from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "EpisodeConfig",
     "StepTrace",
     "EpisodeMetrics",
+    "METRIC_COLUMNS",
     "SamplingPolicy",
     "PeriodicPolicy",
     "NeverSamplePolicy",
@@ -102,10 +106,15 @@ class EpisodeMetrics:
     trace: Optional[list[StepTrace]] = None
 
 
+# the EpisodeMetrics fields that curves.csv and comparison.csv report
+METRIC_COLUMNS = ("cumulative_reward", "total_energy_j", "mean_deviation", "sample_count")
+
+
 class SamplingPolicy(Protocol):
     """Decides, per decision step, whether to transmit."""
 
-    def decide(self, features: np.ndarray, t: int) -> int: ...
+    def decide(self, features: np.ndarray, t: int) -> int:
+        """``t`` is the environment's sensing-interval index, 1 at the first step."""
 
 
 class PeriodicPolicy:
@@ -149,7 +158,8 @@ class SamplingEnv:
 
     ``reset(new_scene=True)`` draws a fresh clip and start offset from the
     seeded stream; ``reset(new_scene=False)`` replays the previous choice, so
-    blocks of episodes can share one initial scene.
+    blocks of episodes can share one initial scene.  ``play`` is the one loop
+    that drives ``reset`` and ``step`` through an episode.
     """
 
     def __init__(
@@ -294,31 +304,32 @@ class SamplingEnv:
         info = {"action": a, "forced": forced, "sampled": a == 1}
         return next_features, r, done, info
 
+    def play(self, decide: Callable[[np.ndarray, int], int], *,
+             new_scene: bool = True) -> Iterator[Transition]:
+        """Play one episode: reset, then step each interval t with
+        ``decide(features, t)``.  Yields one ``Transition`` per step with the
+        executed action, which a forced resample makes 1; the last is terminal,
+        with a zero next state.  Once exhausted, ``metrics`` holds the record."""
+        state = self.reset(new_scene=new_scene)
+        done = False
+        while not done:
+            next_state, r, done, info = self.step(decide(state, self._t))
+            yield Transition(state, info["action"], r, next_state, done)
+            state = next_state
+
 
 def run_episode(
     config: EpisodeConfig,
     clips: Sequence[FootageClip] | FootageClip,
     policy: SamplingPolicy,
     record_trace: bool = True,
-    collect_transitions: bool = False,
 ) -> tuple[EpisodeMetrics, list[Transition]]:
-    """Run one full episode under a policy; returns metrics and, on request,
-    the recorded transition stream."""
+    """Play one episode under a policy in a fresh environment; returns its
+    metrics and its transitions."""
     if isinstance(clips, FootageClip):
         clips = [clips]
     env = SamplingEnv(config, clips, record_trace=record_trace)
-    state = env.reset(new_scene=True)
-    transitions: list[Transition] = []
-    done = False
-    t = 1
-    while not done:
-        action = policy.decide(state, t)
-        next_state, r, done, info = env.step(action)
-        if collect_transitions:
-            transitions.append(Transition(state, int(info["action"]), r, next_state, done))
-        state = next_state
-        t += 1
-    assert env.metrics is not None
+    transitions = list(env.play(policy.decide))
     return env.metrics, transitions
 
 
@@ -332,8 +343,8 @@ def compare_policies(
 ) -> list[dict]:
     """Evaluate every policy on every clip under shared per-clip seeds.
 
-    Returns one row per (clip, policy) with the four episode metrics.  When
-    ``on_result`` is given it is called with (clip_name, policy_name,
+    Returns one row per (clip, policy) with its episode's ``METRIC_COLUMNS``.
+    When ``on_result`` is given it is called with (clip_name, policy_name,
     metrics) after each episode, e.g. to archive traces.
     """
     if not clips:
@@ -351,14 +362,6 @@ def compare_policies(
             metrics, _ = run_episode(clip_config, clip, policy, record_trace=record_trace)
             if on_result is not None:
                 on_result(clip.name, name, metrics)
-            rows.append(
-                {
-                    "clip": clip.name,
-                    "policy": name,
-                    "cumulative_reward": metrics.cumulative_reward,
-                    "total_energy_j": metrics.total_energy_j,
-                    "mean_deviation": metrics.mean_deviation,
-                    "sample_count": metrics.sample_count,
-                }
-            )
+            rows.append({"clip": clip.name, "policy": name,
+                         **{column: getattr(metrics, column) for column in METRIC_COLUMNS}})
     return rows

@@ -153,7 +153,7 @@ def _fill_memory(trainer, n):
 
 def test_train_returns_the_environments_episode_records():
     trainer = _trainer(record_trace=True)
-    records = trainer.train(2)
+    records = [trainer.run_episode(episode) for episode in range(2)]
     assert len(records) == 2 and records[0] is not records[1]
     assert records[-1] is trainer.env.metrics
     assert trainer.gradient_steps > 0  # the second episode trained

@@ -28,6 +28,12 @@ def test_fading_params_domain():
         FadingParams(m=6.0, m_s=0.5, g_bar=1.0)
     with pytest.raises(ValueError):
         FadingParams(m=6.0, m_s=6.0, g_bar=0.0)
+    # shapes at which shape + 1 rounds to the shape, or lgamma overflows
+    for shape in (math.inf, math.nan, 2.0 ** 53, 1e308):
+        with pytest.raises(ValueError, match="multipath shape m must be"):
+            FadingParams(m=shape, m_s=6.0, g_bar=1.0)
+        with pytest.raises(ValueError, match="shadowing shape m_s must be"):
+            FadingParams(m=6.0, m_s=shape, g_bar=1.0)
 
 
 def test_link_budget_derived_constants():

@@ -1,11 +1,12 @@
 import base64
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from semsample import cli
+from semsample import agent, cli
 from semsample.simulator import StepTrace
 
 FIXTURE_XML = Path(__file__).parent / "fixtures" / "sample_detrac.xml"
@@ -56,6 +57,18 @@ def test_channel_check_with_no_draws_gives_exit_2(capsys, draws):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--m", "inf", "multipath shape m must be > 1 and < 2**53, got inf"),
+    ("--m", "1e308", "multipath shape m must be > 1 and < 2**53, got 1e+308"),
+    ("--m-s", "nan", "shadowing shape m_s must be > 1 and < 2**53, got nan"),
+])
+def test_channel_check_with_a_shape_out_of_range_gives_exit_2(capsys, flag, value, message):
+    assert cli.main(["channel-check", flag, value]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"bogus": 1}, "unknown config key 'bogus'"),
     ({"agent": {"widths": [8], "bogus": 1}}, "unknown config key 'agent.bogus'"),
@@ -90,6 +103,15 @@ def test_channel_check_with_no_draws_gives_exit_2(capsys, draws):
     ({"agent": {"memory_capacity": 1000000000000}},
      "memory_capacity must be >= batch_size and >= warmup_transitions, and <= 1000000, "
      "got 1000000000000"),
+    ({"energy": {"anchor_bits": 0}}, "energy.anchor_bits must be >= 1, got 0"),
+    ({"state": {"window": -5}}, "window must be >= 0, got -5"),
+    ({"state": {"chi_cap": 0}}, "chi_cap must be > 0, got 0"),
+    ({"state": {"chi_cap": -8}}, "chi_cap must be > 0, got -8"),
+    ({"reward": {"penalty": -2}}, "penalty must be >= 0, got -2"),
+    ({"reward": {"w1": -1e9}}, "w1 must be >= 0, got -1000000000.0"),
+    ({"energy": {"anchor_mj": 0}}, "energy.anchor_mj must be a positive number, got 0"),
+    ({"channel": {"m": 1e308}}, "multipath shape m must be > 1 and < 2**53, got 1e+308"),
+    ({"channel": {"m_s": 1e308}}, "shadowing shape m_s must be > 1 and < 2**53, got 1e+308"),
 ])
 def test_a_bad_config_gives_exit_2(tmp_path, capsys, doc, message):
     config = _write(tmp_path / "config.json", doc)
@@ -136,6 +158,36 @@ def test_train_evaluate_resume_round_trip(tmp_path):
                      "--episodes", "3", "--out", str(resumed)]) == cli.EXIT_OK
     assert [r["episode"] for r in _rows(resumed / "curves.csv")] == ["2", "3", "4"]
     assert json.loads((resumed / "snapshot.json").read_text())["trained_episodes"] == 5
+
+
+def test_a_diverged_training_run_leaves_its_curves_and_a_manifest(tmp_path, capsys, monkeypatch):
+    config = _write(tmp_path / "config.json", TINY)
+    one = tmp_path / "one"
+    assert cli.main(["train", "--config", config, "--episodes", "1", "--out", str(one)]) == cli.EXIT_OK
+    assert json.loads((one / "manifest.json").read_text())["status"] == "ok"
+    capsys.readouterr()
+
+    # updates start once the memory holds 8 transitions, so episode 0 makes
+    # 12 - 8 + 1 = 5 of them and the 6th critic loss is episode 1's first
+    real, calls = agent.critic_loss_and_grads, []
+
+    def nan_from_the_6th_call(nets, batch):
+        calls.append(None)
+        loss, g1, g2 = real(nets, batch)
+        return (math.nan if len(calls) >= 6 else loss), g1, g2
+
+    monkeypatch.setattr(agent, "critic_loss_and_grads", nan_from_the_6th_call)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", config, "--episodes", "3", "--out", str(out)]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at gradient step 6: critic=nan")
+    assert len(err.splitlines()) == 1
+    assert len(calls) == 6
+    assert (out / "curves.csv").read_text() == (one / "curves.csv").read_text()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "diverged"
+    assert list(manifest["outputs"]) == ["curves.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["curves.csv", "manifest.json"]
 
 
 def test_fixed_seed_runs_write_byte_identical_outputs(tmp_path):

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from semsample import predictor, simulator
 from semsample.config import default_config, resolve_config
 from semsample.ingest import TrafficGenConfig, generate_traffic
 from semsample.predictor import PredictorConfig
-from semsample.simulator import EpisodeConfig, PeriodicPolicy, run_episode
+from semsample.simulator import EpisodeConfig, PeriodicPolicy, SamplingEnv, run_episode
 
 from oracles import prediction_deviation_oracle, semantic_change_oracle
 
@@ -83,3 +84,44 @@ def test_a_clip_shorter_than_the_horizon_truncates_the_episode(frames, truncated
     assert metrics.truncated is truncated
     assert metrics.steps == len(metrics.trace) == min(50, frames - 2)
     assert [step.t for step in metrics.trace] == list(range(1, metrics.steps + 1))
+
+
+# a full episode, and one truncated to 38 steps by a 40-frame clip; period 5
+# leaves skips that a resample request forces to transmit in both
+@pytest.mark.parametrize("frames, steps", [(200, 60), (40, 50)])
+def test_play_yields_one_transition_per_interval_in_order(frames, steps):
+    clip = generate_traffic(TrafficGenConfig(lanes=2, spawn_rate=0.5, seed=7), frames, "dense")
+    config = EpisodeConfig(steps=steps, predictor=PredictorConfig(grid_width=24, grid_height=16),
+                           energy_scale=ENERGY_SCALE, seed=5)
+    env = SamplingEnv(config, [clip], record_trace=True)
+    policy, asked = PeriodicPolicy(5), []
+
+    def decide(features, t):
+        asked.append((features, t))
+        return policy.decide(features, t)
+
+    transitions = list(env.play(decide))
+    metrics = env.metrics
+    assert metrics.truncated is (frames - 2 < steps)
+    assert metrics.steps == len(transitions) == min(steps, frames - 2)
+    assert [t for _, t in asked] == list(range(1, metrics.steps + 1))
+    assert all(tr.state is features for tr, (features, _) in zip(transitions, asked))
+
+    assert [tr.action for tr in transitions] == [step.action for step in metrics.trace]
+    assert [tr.reward for tr in transitions] == [step.reward for step in metrics.trace]
+    forced_skips = [tr.action for tr, step in zip(transitions, metrics.trace)
+                    if step.forced and step.t % 5]
+    assert forced_skips and all(action == 1 for action in forced_skips)
+
+    for tr, following in zip(transitions, transitions[1:]):
+        assert np.array_equal(tr.next_state, following.state)
+    assert [tr.terminal for tr in transitions] == [False] * (metrics.steps - 1) + [True]
+    assert np.array_equal(transitions[-1].next_state, np.zeros(env.state_dim))
+
+    again, returned = run_episode(config, clip, policy, record_trace=True)
+    assert again.cumulative_reward == metrics.cumulative_reward
+    assert len(returned) == len(transitions)
+    for got, want in zip(returned, transitions):
+        assert (got.action, got.reward, got.terminal) == (want.action, want.reward, want.terminal)
+        assert np.array_equal(got.state, want.state)
+        assert np.array_equal(got.next_state, want.next_state)

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import __version__ as _pkg_version
+from .layout import MAX_VEHICLES, RECORD_BITS
 from .nets import Adam, Mlp
 
 if TYPE_CHECKING:
@@ -41,7 +42,7 @@ __all__ = [
     "TrainingDiverged",
 ]
 
-MAX_PACKET_BITS = 64 * 22  # framing cap times record size
+MAX_PACKET_BITS = MAX_VEHICLES * RECORD_BITS  # framing cap times record size
 
 # version 2 packs each net's weights as raw little-endian bytes in base64
 SNAPSHOT_VERSION = 2
@@ -69,6 +70,14 @@ class RewardConfig:
             raise ValueError(f"w1 must be >= 0, got {self.w1!r}")
         if self.penalty < 0:
             raise ValueError(f"penalty must be >= 0, got {self.penalty!r}")
+        # a skipped step takes exp(w4 * deviation - 1) with a deviation of at
+        # most 1, so exp(w4 - 1) is its largest value
+        try:
+            bounded = math.isfinite(math.exp(self.w4 - 1.0))
+        except OverflowError:
+            bounded = False
+        if not bounded:
+            raise ValueError(f"w4 must keep exp(w4 - 1) finite, got {self.w4!r}")
 
 
 def reward(action: int, energy_j: float, penalized_dev: float, cfg: RewardConfig) -> float:

@@ -13,6 +13,7 @@ log-gamma to stay stable at large shapes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,20 @@ class FadingParams:
             raise ValueError(f"average gain must be > 0, got {self.g_bar}")
 
 
+def _linear(db: float, key: str, value: float, quantity: str) -> float:
+    """10 ** (db / 10), refused unless a normal positive float (so its
+    reciprocal is finite too); ``key`` and ``value`` name the setting it
+    comes from."""
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not sys.float_info.min <= linear < math.inf:
+        raise ValueError(f"{key} {value!r} gives {quantity} of {linear!r}, outside the "
+                         "range of normal floats")
+    return linear
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Static link parameters with derived linear-domain constants.
@@ -78,12 +93,22 @@ class LinkBudget:
             raise ValueError("bandwidth must be positive")
         if self.distance_m <= 0:
             raise ValueError("distance must be positive")
-        object.__setattr__(self, "snr_threshold", 10.0 ** (self.snr_threshold_db / 10.0))
+        snr = _linear(self.snr_threshold_db, "snr_threshold_db", self.snr_threshold_db,
+                      "a linear SNR threshold")
+        object.__setattr__(self, "snr_threshold", snr)
         pl = 35.3 + 37.6 * math.log10(self.distance_m)
         object.__setattr__(self, "pathloss_db", pl)
-        object.__setattr__(self, "g_bar", 10.0 ** (-pl / 10.0))
+        object.__setattr__(self, "g_bar", _linear(-pl, "distance_m", self.distance_m,
+                                                  "a path-loss gain"))
         noise_dbm = self.noise_psd_dbm_hz + 10.0 * math.log10(self.bandwidth_hz)
-        object.__setattr__(self, "noise_power_w", 10.0 ** ((noise_dbm - 30.0) / 10.0))
+        object.__setattr__(self, "noise_power_w", _linear(
+            noise_dbm - 30.0, "noise_psd_dbm_hz", self.noise_psd_dbm_hz, "a noise power"))
+        # below about -159.5 dB, 1 + snr rounds to 1 and the rate to 0
+        rate = rate_bits_per_s(self)
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"snr_threshold_db {self.snr_threshold_db!r} and bandwidth_hz "
+                             f"{self.bandwidth_hz!r} give a rate of {rate!r} bit/s, which is "
+                             "not a positive finite number")
 
     def fading(self, m: float, m_s: float) -> FadingParams:
         """Fading parameters whose mean gain is this link's pathloss gain."""

@@ -51,9 +51,9 @@ from .ingest import (
     FRAME_WIDTH,
     ClipParseError,
     clip_to_json,
-    parse_clip_json,
     parse_detrac_xml,
 )
+from .layout import RECORD_BITS
 from .simulator import (
     METRIC_COLUMNS,
     AgentPolicy,
@@ -115,8 +115,6 @@ def _build_policy(spec: str, nets: Optional[SacNetworks]):
         if nets is None:
             raise ConfigError("policy 'agent' needs a snapshot")
         return AgentPolicy(nets, mode="greedy")
-    if spec == "always":
-        return PeriodicPolicy(1)
     if spec == "never":
         return NeverSamplePolicy()
     if spec.startswith("periodic:"):
@@ -218,10 +216,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     nets, _ = _read_snapshot(args.snapshot, resolved)
 
-    if args.clips:
-        clips = [parse_clip_json(Path(p).read_text()) for p in args.clips]
-    else:
-        clips = build_clips(resolved["eval_clips"], args.base_dir)
+    clips = build_clips(resolved["eval_clips"], args.base_dir)
     if not clips:
         raise ConfigError("no clips to evaluate")
 
@@ -298,12 +293,12 @@ def cmd_channel_check(args: argparse.Namespace) -> int:
                 float((1.0 / draws).mean()), inv_closed, 0.02, failures)
     print(f"  E[1/g] * g_bar = {inv_closed * fading.g_bar:.9g}")
 
-    bits = 22.0
+    bits = RECORD_BITS  # one vehicle record
     delta = transmission_duration(bits, link)
     e_closed = expected_energy(bits, link, fading)
     e_moment = delta * link.snr_threshold * link.noise_power_w * inv_closed
     e_mc = delta * link.snr_threshold * link.noise_power_w * float((1.0 / draws).mean())
-    print(f"  rate = {rate_bits_per_s(link):.6g} bit/s, delta(22 bit) = {delta:.6g} s")
+    print(f"  rate = {rate_bits_per_s(link):.6g} bit/s, delta({bits} bit) = {delta:.6g} s")
     _check_line("energy: closed form vs moment identity", e_closed, e_moment, 1e-12, failures)
     _check_line("energy: Monte Carlo vs closed form", e_mc, e_closed, 0.02, failures)
 
@@ -365,7 +360,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="compare policies on clips")
     p_eval.add_argument("--config", help="experiment config JSON")
     p_eval.add_argument("--snapshot", required=True, help="trained model snapshot")
-    p_eval.add_argument("--clips", nargs="*", help="clip JSON files (override config)")
     p_eval.add_argument("--seed", type=int, help="override the config seed")
     p_eval.add_argument("--out", default="runs/eval", help="output directory")
     p_eval.add_argument("--traces", action="store_true", help="write per-step traces")

@@ -12,9 +12,8 @@ the dotted key of the first mismatch.  An integer setting takes only an
 integer (not a bool, not 2.5); a float setting takes an integer or a finite
 float; strings, lists and objects must match their default, list items are
 checked against the default's first item, and each clip entry against the
-keys of its own kind.  Unknown keys are rejected to catch typos early.  Two
-keys take one more type: ``predictor.max_track_speed`` may be ``null``
-(no speed guard) and ``energy.scale`` may be a number in place of
+keys of its own kind.  Unknown keys are rejected to catch typos early.  One
+key takes one more type: ``energy.scale`` may be a number in place of
 ``"auto"``.  Values pass through unconverted, so the resolved document (all
 defaults filled in, the energy scale resolved to a number) is what gets
 hashed into run manifests, and each section goes whole to its dataclass.
@@ -121,10 +120,10 @@ _CLIP_KINDS = {
 }
 
 # The keys that take one more type than their default's
-_ALSO = {"predictor.max_track_speed": None, "energy.scale": 1.0}
+_ALSO = {"energy.scale": 1.0}
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               list: "a list", dict: "an object", type(None): "null"}
+               list: "a list", dict: "an object"}
 
 
 def default_config() -> dict:
@@ -190,7 +189,8 @@ def load_config(path: str | Path) -> dict:
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Check every value against ``DEFAULTS``, then fill the auto energy scale."""
+    """Check every value against ``DEFAULTS`` and the channel's reference
+    packet energy, then fill the auto energy scale."""
     _check(cfg, DEFAULTS, "")
     out = copy.deepcopy(cfg)
     link = build_link(out)
@@ -199,13 +199,19 @@ def resolve_config(cfg: dict) -> dict:
         raise ConfigError(f"energy.anchor_bits must be >= 1, got {energy['anchor_bits']!r}")
     if energy["anchor_mj"] <= 0:
         raise ConfigError(f"energy.anchor_mj must be a positive number, got {energy['anchor_mj']!r}")
-    scale = energy["scale"]
-    if scale == "auto":
+    try:
         ref = expected_energy(
             energy["anchor_bits"],
             link,
             link.fading(out["channel"]["m"], out["channel"]["m_s"]),
         )
+    except OverflowError:  # exp of the inverse-gain moment
+        ref = math.inf
+    if not 0.0 < ref < math.inf:
+        raise ConfigError(f"the channel settings give an energy.anchor_bits packet an "
+                          f"expected energy of {ref!r} J, which is not a positive finite number")
+    scale = energy["scale"]
+    if scale == "auto":
         energy["scale"] = (energy["anchor_mj"] * 1e-3) / ref
     elif isinstance(scale, str) or scale <= 0:
         raise ConfigError(f"energy.scale must be 'auto' or a positive number, got {scale!r}")

@@ -37,7 +37,6 @@ __all__ = [
     "MessageFormatError",
     "encode_message",
     "decode_message",
-    "message_from_payload",
     "rasterize",
     "semantic_change",
     "prediction_deviation",
@@ -147,14 +146,6 @@ class VisualLayout:
         grid.setflags(write=False)
         self.grid = grid
 
-    @property
-    def width(self) -> int:
-        return self.grid.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.grid.shape[0]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VisualLayout):
             return NotImplemented
@@ -163,7 +154,8 @@ class VisualLayout:
         )
 
     def __repr__(self) -> str:
-        return f"VisualLayout({self.width}x{self.height}, {int((self.grid > 0).sum())} px)"
+        height, width = self.grid.shape
+        return f"VisualLayout({width}x{height}, {int((self.grid > 0).sum())} px)"
 
 
 def _payload_bytes(vehicle_count: int) -> int:
@@ -197,19 +189,6 @@ def encode_message(scene: SceneAnnotation) -> SemanticMessage:
     pad = (-total_bits) % 8
     payload = (bits << pad).to_bytes(_payload_bytes(count), "big")
     return SemanticMessage(payload=payload, vehicle_count=count, size_bits=total_bits)
-
-
-def message_from_payload(payload: bytes) -> SemanticMessage:
-    """Rebuild a message from raw payload bytes; the record count is implied
-    by the payload length (each record is 22 bits, zero-padded to bytes)."""
-    count = (8 * len(payload)) // RECORD_BITS
-    if _payload_bytes(count) != len(payload):
-        raise MessageFormatError(
-            f"payload of {len(payload)} bytes does not frame 22-bit records"
-        )
-    return SemanticMessage(
-        payload=payload, vehicle_count=count, size_bits=RECORD_BITS * count
-    )
 
 
 def decode_message(msg: SemanticMessage) -> SceneAnnotation:

@@ -54,22 +54,23 @@ class PredictorConfig:
     per-track velocities: decoded scenes carry positional track ids, so an
     entry or exit can pair unrelated vehicles, and the implied jump would
     otherwise whip predictions across the frame.  Rejected tracks are held
-    static like freshly appeared ones.  ``None`` disables the guard.
+    static like freshly appeared ones.  A cap of 1 never binds: box centres
+    lie in [0, 1], so a centre moves at most 1 / gap per interval.
     """
 
     horizon: int = 5
     grid_width: int = 120
     grid_height: int = 80
     deviation_threshold: float = 0.07
-    max_track_speed: Optional[float] = 0.04
+    max_track_speed: float = 0.04
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.grid_width < 1 or self.grid_height < 1:
             raise ValueError("grid dimensions must be positive")
-        if self.max_track_speed is not None and self.max_track_speed <= 0:
-            raise ValueError("max_track_speed must be positive or None")
+        if self.max_track_speed <= 0:
+            raise ValueError("max_track_speed must be positive")
 
 
 class PredictedRound(Sequence):
@@ -146,7 +147,7 @@ class ConstantVelocityPredictor:
                     ((b.b1 + b.b3) - (a.b1 + a.b3)) / (2.0 * gap),
                     ((b.b2 + b.b4) - (a.b2 + a.b4)) / (2.0 * gap),
                 )
-                if cap is not None and max(abs(v) for v in velocity) > cap:
+                if max(abs(v) for v in velocity) > cap:
                     velocity = (0.0, 0.0)  # implausible pairing
             tracks.append((rec, velocity))
 

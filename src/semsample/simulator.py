@@ -29,6 +29,7 @@ from .agent import (
 from .channel import FadingParams, LinkBudget, expected_energy
 from .ingest import FootageClip
 from .layout import (
+    RECORD_BITS,
     SceneAnnotation,
     encode_message,
     penalized_deviation,
@@ -204,7 +205,6 @@ class SamplingEnv:
         self._horizon = horizon
         self._clip = clip
         self._t = 1
-        self._t_hat_frame = offset + 1  # frame of the last sampled scene (STI 0)
         msg_prev = encode_message(clip.frames[offset])
         msg_cur = encode_message(clip.frames[offset + 1])
         link = self.config.link
@@ -230,12 +230,12 @@ class SamplingEnv:
 
     def _observe(self) -> np.ndarray:
         scene = self._frame(self._t)
-        chi = semantic_change(scene, self._clip.frames[self._t_hat_frame])
+        # chi_t against the scene of t_hat, the destination's last reception
+        chi = semantic_change(scene, self._frame(self.destination.t_hat))
         w = self._window  # shifted in place: features() copies it
         w[1:] = w[:-1]
         w[0] = chi
-        self._last_chi = chi
-        return self.scaling.features(22 * scene.vehicle_count, self._window)
+        return self.scaling.features(RECORD_BITS * scene.vehicle_count, w)
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool, dict]:
         if self.metrics is None:
@@ -246,20 +246,19 @@ class SamplingEnv:
         forced = self._pending_force
         a = 1 if forced else int(action)
         scene = self._frame(t)
+        packet_bits = RECORD_BITS * scene.vehicle_count
         cfg = self.config
-        chi = self._last_chi
+        chi = float(self._window[0])  # chi_t, observed for this interval
         if a == 1:
             msg = encode_message(scene)
-            energy = expected_energy(msg.size_bits, cfg.link, self.fading)
+            energy = expected_energy(packet_bits, cfg.link, self.fading)
             displayed, feedback = self.destination.step(t, msg)
             r = reward(1, energy * cfg.energy_scale, 0.0, cfg.reward)
-            self._t_hat_frame = self._offset + 1 + t
             deviation = None
             penalized = None
             case3 = self.destination.last_comparison
             self.metrics.sample_count += 1
             self.metrics.total_energy_j += energy
-            packet_bits = msg.size_bits
         else:
             displayed, feedback = self.destination.step(t, None)
             real = rasterize(scene, cfg.predictor.grid_width, cfg.predictor.grid_height)
@@ -272,7 +271,6 @@ class SamplingEnv:
             case3 = None
             self._dev_sum += deviation
             self._dev_count += 1
-            packet_bits = 22 * scene.vehicle_count
         self._pending_force = feedback is Feedback.REQUEST_RESAMPLE
         self.metrics.cumulative_reward += r
         self.metrics.steps += 1
@@ -320,15 +318,13 @@ class SamplingEnv:
 
 def run_episode(
     config: EpisodeConfig,
-    clips: Sequence[FootageClip] | FootageClip,
+    clip: FootageClip,
     policy: SamplingPolicy,
     record_trace: bool = True,
 ) -> tuple[EpisodeMetrics, list[Transition]]:
-    """Play one episode under a policy in a fresh environment; returns its
-    metrics and its transitions."""
-    if isinstance(clips, FootageClip):
-        clips = [clips]
-    env = SamplingEnv(config, clips, record_trace=record_trace)
+    """Play one episode of ``clip`` under a policy in a fresh environment;
+    returns its metrics and its transitions."""
+    env = SamplingEnv(config, [clip], record_trace=record_trace)
     transitions = list(env.play(policy.decide))
     return env.metrics, transitions
 

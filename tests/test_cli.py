@@ -1,3 +1,4 @@
+import argparse
 import base64
 import dataclasses
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from semsample import agent, cli
+from semsample import agent, cli, config
 from semsample.simulator import StepTrace
 
 FIXTURE_XML = Path(__file__).parent / "fixtures" / "sample_detrac.xml"
@@ -112,6 +113,24 @@ def test_channel_check_with_a_shape_out_of_range_gives_exit_2(capsys, flag, valu
     ({"energy": {"anchor_mj": 0}}, "energy.anchor_mj must be a positive number, got 0"),
     ({"channel": {"m": 1e308}}, "multipath shape m must be > 1 and < 2**53, got 1e+308"),
     ({"channel": {"m_s": 1e308}}, "shadowing shape m_s must be > 1 and < 2**53, got 1e+308"),
+    ({"channel": {"snr_threshold_db": 4000}}, "snr_threshold_db 4000 gives a linear SNR threshold of inf"),
+    ({"channel": {"snr_threshold_db": -4000}}, "snr_threshold_db -4000 gives a linear SNR threshold of 0.0"),
+    ({"channel": {"noise_psd_dbm_hz": 4000}}, "noise_psd_dbm_hz 4000 gives a noise power of inf"),
+    ({"channel": {"noise_psd_dbm_hz": -4000}}, "noise_psd_dbm_hz -4000 gives a noise power of 0.0"),
+    ({"reward": {"w4": 1e9}}, "w4 must keep exp(w4 - 1) finite, got 1000000000.0"),
+    ({"predictor": {"max_track_speed": None}}, "predictor.max_track_speed must be a finite number, got null"),
+    ({"channel": {"distance_m": 1e86}}, "distance_m 1e+86 gives a path-loss gain of 0.0"),
+    # a subnormal gain has no finite reciprocal for the inverse moment
+    ({"channel": {"distance_m": 1e83}}, "distance_m 1e+83 gives a path-loss gain of 2.45470894e-316"),
+    ({"channel": {"snr_threshold_db": -160}},
+     "snr_threshold_db -160 and bandwidth_hz 1000.0 give a rate of 0.0 bit/s"),
+    ({"channel": {"bandwidth_hz": 1e308, "snr_threshold_db": 3000}},
+     "snr_threshold_db 3000 and bandwidth_hz 1e+308 give a rate of inf bit/s"),
+    ({"channel": {"snr_threshold_db": 300, "noise_psd_dbm_hz": 3000, "distance_m": 1}},
+     "the channel settings give an energy.anchor_bits packet an expected energy of inf J"),
+    ({"channel": {"snr_threshold_db": 300, "noise_psd_dbm_hz": 3000, "distance_m": 1},
+      "energy": {"scale": 1.0}},
+     "the channel settings give an energy.anchor_bits packet an expected energy of inf J"),
 ])
 def test_a_bad_config_gives_exit_2(tmp_path, capsys, doc, message):
     config = _write(tmp_path / "config.json", doc)
@@ -333,3 +352,62 @@ def test_evaluate_traces_hold_every_step_of_every_row(tmp_path):
         for step in steps:
             total += step["reward"]
         assert total == float(row["cumulative_reward"])
+
+
+def test_the_flags_of_each_subcommand_are_pinned():
+    parser = cli._make_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: [s for a in p._actions for s in a.option_strings]
+             for name, p in [("", parser), *sub.choices.items()]}
+    assert flags == {
+        "": ["-h", "--help", "--version"],
+        "train": ["-h", "--help", "--config", "--episodes", "--seed", "--out", "--resume",
+                  "--base-dir"],
+        "evaluate": ["-h", "--help", "--config", "--snapshot", "--seed", "--out", "--traces",
+                     "--base-dir"],
+        "channel-check": ["-h", "--help", "--config", "--m", "--m-s", "--draws", "--seed"],
+        "ingest": ["-h", "--help", "--out", "--width", "--height", "--name"],
+    }
+
+
+@pytest.fixture(scope="module")
+def tiny_snapshot(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    argv = ["train", "--config", _write(root / "config.json", TINY), "--episodes", "1",
+            "--out", str(root / "train")]
+    assert cli.main(argv) == cli.EXIT_OK
+    return str(root / "train" / "snapshot.json")
+
+
+def _evaluate_with(tmp_path, snapshot, spec):
+    path = _write(tmp_path / "config.json", {**TINY, "eval_policies": [spec]})
+    return cli.main(["evaluate", "--config", path, "--snapshot", snapshot,
+                     "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("spec", ["agent", "periodic:3", "never"])
+def test_each_policy_spec_writes_a_row_per_clip(tmp_path, tiny_snapshot, spec):
+    assert _evaluate_with(tmp_path, tiny_snapshot, spec) == cli.EXIT_OK
+    rows = _rows(tmp_path / "out" / "comparison.csv")
+    assert [r["policy"] for r in rows] == [spec] * len(config.DEFAULTS["eval_clips"])
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("always", "unknown policy spec 'always'"),
+    ("periodic:0", "bad periodic policy spec 'periodic:0'"),
+    ("periodic:x", "bad periodic policy spec 'periodic:x'"),
+    ("bogus", "unknown policy spec 'bogus'"),
+])
+def test_a_bad_policy_spec_gives_exit_2(tmp_path, capsys, tiny_snapshot, spec, message):
+    assert _evaluate_with(tmp_path, tiny_snapshot, spec) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_takes_its_clips_from_the_config_only(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["evaluate", "--snapshot", "snapshot.json", "--clips", "x.json",
+                  "--out", str(tmp_path / "out")])
+    assert info.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --clips x.json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

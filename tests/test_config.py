@@ -59,11 +59,7 @@ def test_every_leaf_is_walked():
 
 @pytest.mark.parametrize("path", [p for p, _ in NODES], ids=_dotted)
 def test_null_is_refused_with_the_dotted_key(path):
-    if path == ("predictor", "max_track_speed"):
-        resolved = config.resolve_config(_with(path, None))
-        assert config.build_episode_config(resolved).predictor.max_track_speed is None
-    else:
-        assert _refused(path, None).startswith(f"{_dotted(path)} must be ")
+    assert _refused(path, None).startswith(f"{_dotted(path)} must be ")
 
 
 @pytest.mark.parametrize("path", [p for p, d in LEAVES if type(d) is int], ids=_dotted)

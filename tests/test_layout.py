@@ -16,7 +16,6 @@ from semsample.layout import (
     VisualLayout,
     decode_message,
     encode_message,
-    message_from_payload,
     penalized_deviation,
     prediction_deviation,
     rasterize,
@@ -116,8 +115,6 @@ def test_decode_assigns_payload_order_track_ids():
 
 
 def test_decode_rejects_bad_length_and_padding():
-    with pytest.raises(MessageFormatError):
-        message_from_payload(b"\x00")  # 8 bits cannot frame 22-bit records
     good = encode_message(scene(car(0, 0.2, 0.2, 0.4, 0.4)))
     corrupted = SemanticMessage(
         payload=good.payload[:-1] + bytes([good.payload[-1] | 1]),
@@ -126,12 +123,6 @@ def test_decode_rejects_bad_length_and_padding():
     )
     with pytest.raises(MessageFormatError):
         decode_message(corrupted)
-
-
-def test_message_from_payload_infers_count():
-    msg = encode_message(scene(car(0, 0, 0, 1, 1), car(1, 0, 0, 1, 1)))
-    rebuilt = message_from_payload(msg.payload)
-    assert rebuilt == msg
 
 
 @st.composite
@@ -159,8 +150,7 @@ def message_payloads(draw):
 @settings(max_examples=300, deadline=None)
 def test_roundtrip_decode_encode_is_identity(payload_count):
     payload, count = payload_count
-    msg = message_from_payload(payload)
-    assert msg.vehicle_count == count
+    msg = SemanticMessage(payload, count, 22 * count)
     assert encode_message(decode_message(msg)).payload == payload
 
 

@@ -92,8 +92,9 @@ def test_new_track_held_static():
 def test_track_leaving_frame_is_dropped():
     older = scene(rec(0, 0.70, w=0.2))
     newer = scene(rec(0, 0.85, w=0.15))  # moving right at the edge
-    # 0.125 per interval is past the shipped speed guard, which would hold it
-    unguarded = PredictorConfig(horizon=5, grid_width=120, grid_height=80, max_track_speed=None)
+    # 0.125 per interval is past the shipped speed guard, which would hold it;
+    # a cap of 1 never binds
+    unguarded = PredictorConfig(horizon=5, grid_width=120, grid_height=80, max_track_speed=1.0)
     layouts = ConstantVelocityPredictor(unguarded).predict_scenes(older, newer, 1, 5)
     assert layouts[0].grid.any()
     assert not layouts[-1].grid.any()  # fully clamped out by k=5

@@ -264,6 +264,8 @@ class SacNetworks:
     The twin critics run as one stacked net, ``critics``, and their targets
     as ``target_critics`` (see :meth:`Mlp.stack`); ``q1``, ``q2``,
     ``target_q1`` and ``target_q2`` are plain nets viewing their halves.
+    The target critics share the critics' pass buffers: nothing reads their
+    hidden activations, and the critics' own pass overwrites them next.
     """
 
     N_ACTIONS = 2
@@ -283,9 +285,11 @@ class SacNetworks:
         self.config = config
 
     def _stack_critics(self, q1: Mlp, q2: Mlp, target_q1: Mlp, target_q2: Mlp) -> None:
-        """Copy the twins and their targets into the two stacked nets."""
+        """Copy the twins and their targets into the two stacked nets, which
+        share one set of pass buffers."""
         self.critics, (self.q1, self.q2) = Mlp.stack([q1, q2])
         self.target_critics, (self.target_q1, self.target_q2) = Mlp.stack([target_q1, target_q2])
+        self.target_critics._buffers = self.critics._buffers
 
     @property
     def temperature(self) -> float:

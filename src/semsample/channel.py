@@ -8,7 +8,8 @@ seeded gain sampler exists for Monte-Carlo validation.
 
 All dB-to-linear conversions happen once at :class:`LinkBudget` construction;
 everything at runtime is linear-domain.  Gamma/beta evaluations go through
-log-gamma to stay stable at large shapes.
+log-gamma to stay stable at large shapes.  Only :func:`pdf` needs scipy, and
+it imports it when called, so training and evaluation never load it.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln
 
 __all__ = [
     "FadingParams",
@@ -117,6 +117,8 @@ class LinkBudget:
 
 def pdf(params: FadingParams, g):
     """Density of the instantaneous channel gain, elementwise over ``g``."""
+    from scipy.special import betaln
+
     g_arr = np.asarray(g, dtype=np.float64)
     if np.any(g_arr <= 0.0):
         raise ValueError("gain must be positive")

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from .agent import SacNetworks, Trainer, TrainingDiverged
@@ -255,6 +254,8 @@ def _check_line(name: str, value: float, reference: float, tolerance: float,
 
 
 def cmd_channel_check(args: argparse.Namespace) -> int:
+    from scipy.integrate import quad  # only this command integrates, so only it loads scipy
+
     if args.draws < 1:
         raise ConfigError(f"--draws must be >= 1, got {args.draws}")
     resolved = _load_config_arg(args.config)
@@ -264,6 +265,16 @@ def cmd_channel_check(args: argparse.Namespace) -> int:
         resolved["channel"]["m_s"] = args.m_s
     link = build_link(resolved)
     fading = link.fading(resolved["channel"]["m"], resolved["channel"]["m_s"])
+    bits = RECORD_BITS  # one vehicle record
+    # resolve_config checked the closed forms at the config's shapes, not
+    # at the overrides
+    try:
+        mean_closed = moment(fading, 1)
+        inv_closed = moment(fading, -1)
+        e_closed = expected_energy(bits, link, fading)
+    except OverflowError as exc:
+        raise ConfigError(f"the channel settings with m={fading.m!r} and m_s={fading.m_s!r} "
+                          "give a gain moment too large for a float") from exc
 
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     draws = sample_gain(fading, rng, size=args.draws)
@@ -280,22 +291,18 @@ def cmd_channel_check(args: argparse.Namespace) -> int:
     norm = x_quad(lambda x: 1.0)
     _check_line("pdf normalization (quadrature)", norm, 1.0, 1e-6, failures)
 
-    mean_closed = moment(fading, 1)
     mean_quad = g_bar * x_quad(lambda x: x)
     _check_line("mean: closed form vs g_bar", mean_closed, fading.g_bar, 1e-9, failures)
     _check_line("mean: quadrature vs closed form", mean_quad, mean_closed, 1e-6, failures)
     _check_line("mean: Monte Carlo vs closed form", float(draws.mean()), mean_closed, 0.02, failures)
 
-    inv_closed = moment(fading, -1)
     inv_quad = x_quad(lambda x: 1.0 / x) / g_bar
     _check_line("inverse moment: quadrature vs closed form", inv_quad, inv_closed, 1e-6, failures)
     _check_line("inverse moment: Monte Carlo vs closed form",
                 float((1.0 / draws).mean()), inv_closed, 0.02, failures)
     print(f"  E[1/g] * g_bar = {inv_closed * fading.g_bar:.9g}")
 
-    bits = RECORD_BITS  # one vehicle record
     delta = transmission_duration(bits, link)
-    e_closed = expected_energy(bits, link, fading)
     e_moment = delta * link.snr_threshold * link.noise_power_w * inv_closed
     e_mc = delta * link.snr_threshold * link.noise_power_w * float((1.0 / draws).mean())
     print(f"  rate = {rate_bits_per_s(link):.6g} bit/s, delta({bits} bit) = {delta:.6g} s")

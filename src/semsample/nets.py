@@ -14,13 +14,16 @@ q2.flat]`` for two, and the members are returned as views into it, so Adam
 and the soft update step all of them in one pass.
 
 Passes write into buffers that each net keeps and reuses, one set per row
-count it has seen: the hidden activations of :meth:`Mlp.forward_cached`,
-and the deltas and ReLU masks of :meth:`Mlp.backward`.  A multi-MB array
-made fresh on every call is handed back to the OS when freed and faults
-its pages in again on the next call.  So a cache holds its hidden
-activations only until the next pass of the same net on as many rows.
-What outlives the call is always fresh: the output (and so what
-:meth:`Mlp.forward` returns) and the gradients of :meth:`Mlp.backward`.
+count it has seen: the hidden activations of :meth:`Mlp.forward_cached`
+and the ReLU masks of :meth:`Mlp.backward`.  A multi-MB array made fresh
+on every call is handed back to the OS when freed and faults its pages in
+again on the next call.  :meth:`Mlp.backward` writes each layer's delta
+into the activation buffer it has just consumed, so it keeps no delta
+buffers and consumes its cache.  A cache holds its hidden activations
+until ``backward`` consumes it or until the next pass on as many rows of
+the same net, or of a net that shares its buffers.  What outlives the call
+is always fresh: the output (and so what :meth:`Mlp.forward` returns) and
+the gradients of :meth:`Mlp.backward`.
 
 :meth:`Mlp.to_arrays` packs ``flat`` as base64 of its little-endian bytes,
 with that element type (``"<f4"`` for float32) in ``stored`` beside the
@@ -110,8 +113,9 @@ class Mlp:
 
     def _buffers_for(self, kind: str, rows: int) -> list[np.ndarray]:
         """One array per hidden layer, ``(rows, width)`` or ``(n, rows,
-        width)``: ReLU masks for ``kind`` "mask", else of the net's dtype.
-        Made when first asked for at ``rows`` rows, reused after."""
+        width)``: ReLU masks for ``kind`` "mask", activations of the net's
+        dtype for "act".  Made when first asked for at ``rows`` rows, reused
+        after."""
         key = (kind, rows)
         if key not in self._buffers:
             lead = (self.n_stacked,) if self.n_stacked else ()
@@ -126,7 +130,8 @@ class Mlp:
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass keeping post-activation values for backprop.  The
         output is fresh; the hidden activations in the cache are this net's
-        buffers, valid until its next pass on as many rows."""
+        buffers, valid until :meth:`backward` consumes them or until the
+        next pass on as many rows."""
         a = np.asarray(x, dtype=self.dtype)
         if a.ndim == 1:
             a = a[None, :]
@@ -147,20 +152,21 @@ class Mlp:
         """Gradients of a scalar loss w.r.t. all weights and biases, given
         the loss gradient at the output.  Returns [(dW, db), ...] per layer;
         a stacked net's carry the stack axis first, ``(n, in, out)`` and
-        ``(n, out)``.  The gradients are fresh arrays; the deltas between
-        layers go through this net's buffers."""
+        ``(n, out)``.  The gradients are fresh arrays.  Each layer's delta
+        overwrites the hidden activation it replaces in ``cache``, so the
+        cache is consumed."""
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers  # type: ignore[list-item]
         delta = np.asarray(grad_out, dtype=self.dtype)
         if delta.ndim == 1:
             delta = delta[None, :]
-        rows = delta.shape[-2]
-        deltas, masks = self._buffers_for("delta", rows), self._buffers_for("mask", rows)
+        masks = self._buffers_for("mask", delta.shape[-2])
         for i in range(self.n_layers - 1, -1, -1):
             a_in = cache[i]
             grads[i] = (np.swapaxes(a_in, -1, -2) @ delta, delta.sum(axis=-2))
             if i > 0:
-                delta = np.matmul(delta, np.swapaxes(self.weights[i], -1, -2), out=deltas[i - 1])
-                delta *= np.greater(cache[i], 0, out=masks[i - 1])  # ReLU mask of the input activation
+                mask = np.greater(a_in, 0, out=masks[i - 1])  # ReLU mask of the input activation
+                delta = np.matmul(delta, np.swapaxes(self.weights[i], -1, -2), out=a_in)
+                delta *= mask
         return grads
 
     def parameters(self) -> list[np.ndarray]:
@@ -213,7 +219,16 @@ class Mlp:
 
 
 class Adam:
-    """Adam over a list of parameter arrays, updating in place."""
+    """Adam over a list of parameter arrays, updating in place.
+
+    After each step, moment entries below the smallest normal float are set
+    to 0.  A parameter whose gradient has stopped (a dead ReLU unit's) has
+    moments that decay toward 0 and turn subnormal, and arithmetic on
+    subnormals runs many times slower.  Flushing ``v`` leaves the
+    denominator at ``eps``; flushing a float32 ``m`` moves a parameter by
+    at most lr * 2**-96 (at eps 1e-8), under half an ulp of any parameter
+    much larger than lr * 2**-72.
+    """
 
     def __init__(self, params: Sequence[np.ndarray], lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
         self.lr = lr
@@ -222,15 +237,17 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        # two scratch arrays per parameter array, in place of fresh temporaries
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        # per parameter array, two scratch arrays in place of fresh
+        # temporaries and one for the flush's mask
+        self._scratch = [(np.empty_like(p), np.empty_like(p), np.empty(np.shape(p), bool))
+                         for p in params]
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for p, g, m, v, (s, r) in zip(params, grads, self.m, self.v, self._scratch):
+        for p, g, m, v, (s, r, small) in zip(params, grads, self.m, self.v, self._scratch):
             g = g.astype(p.dtype, copy=False)
             m *= b1
             m += np.multiply(1.0 - b1, g, out=s)
@@ -241,3 +258,6 @@ class Adam:
             denom = np.sqrt(np.divide(v, bias2, out=r), out=r)
             denom += self.eps
             p -= np.divide(step, denom, out=s)
+            tiny = np.finfo(m.dtype).tiny
+            np.copyto(m, 0, where=np.less(np.abs(m, out=s), tiny, out=small))
+            np.copyto(v, 0, where=np.less(v, tiny, out=small))  # v holds no negatives

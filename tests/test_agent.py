@@ -322,14 +322,16 @@ def test_stacked_passes_equal_each_members_own_pass_bit_for_bit(dtype, rows):
     grad_out = rng.normal(size=(2, rows, 3))
     # batch 1 goes in as one 1-D state, as select_action passes it
     out, cache = stacked.forward_cached(x[0] if rows == 1 else x)
-    grads = stacked.backward(cache, grad_out)
     assert out.shape == (2, rows, 3)
-    for j, own in enumerate(nets):
-        own_out, own_cache = own.forward_cached(x[0] if rows == 1 else x)
+    own_passes = [own.forward_cached(x[0] if rows == 1 else x) for own in nets]
+    for j, (own_out, own_cache) in enumerate(own_passes):
         assert _bits(out[j]) == _bits(own_out)
         assert _bits(cache[0]) == _bits(own_cache[0])
         for got, want in zip(cache[1:], own_cache[1:]):
             assert _bits(got[j]) == _bits(want)
+    # backward consumes its cache, so the caches are compared before it runs
+    grads = stacked.backward(cache, grad_out)
+    for j, (own, (_, own_cache)) in enumerate(zip(nets, own_passes)):
         for (dw, db), (own_dw, own_db) in zip(grads, own.backward(own_cache, grad_out[j])):
             assert _bits(dw[j]) == _bits(own_dw) and _bits(db[j]) == _bits(own_db)
         assert _bits(members[j].forward(x)) == _bits(own.forward(x))
@@ -476,6 +478,40 @@ def test_a_warm_update_allocates_a_small_transient_peak():
     finally:
         tracemalloc.stop()
     assert peak < 600 * 1024
+
+
+def test_a_warm_update_shares_the_critics_buffers_and_keeps_no_deltas():
+    trainer = _trainer()
+    _fill_memory(trainer, 32)
+    for _ in range(2):
+        trainer.update()
+    nets = trainer.nets
+    assert nets.target_critics._buffers is nets.critics._buffers
+    assert set(nets.critics._buffers) == {("act", 16), ("mask", 16)}
+    for name in ("actor", "critics", "target_critics", *SacNetworks.NETWORKS[1:]):
+        assert {kind for kind, _ in getattr(nets, name)._buffers} <= {"act", "mask"}, name
+
+
+def test_adam_flushes_subnormal_moments_after_a_textbook_step():
+    for dtype in (np.float32, np.float64):
+        tiny = np.finfo(dtype).tiny
+        # a stopped gradient: the moments hold subnormals, normals and zeros
+        m = np.array([tiny / 4, -tiny / 2, tiny * 2, -0.3, 0.0], dtype)
+        v = np.array([tiny / 8, tiny / 2, tiny * 1.5, 0.2, 0.0], dtype)
+        params = [np.array([0.5, -1.5, 2.0, 0.25, -0.75], dtype)]
+        opt = Adam(params, 1e-3)
+        opt.t = 5
+        opt.m[0][...] = m
+        opt.v[0][...] = v
+        ref = params[0].copy()
+        opt.step(params, [np.zeros(5, dtype)])
+        m *= opt.beta1
+        v *= opt.beta2
+        ref -= 1e-3 * (m / (1.0 - opt.beta1**6)) / (np.sqrt(v / (1.0 - opt.beta2**6)) + opt.eps)
+        assert _bits(params[0]) == _bits(ref)
+        for got, want in ((opt.m[0], m), (opt.v[0], v)):
+            assert not np.any((got != 0) & (np.abs(got) < tiny))
+            assert np.array_equal(got, np.where(np.abs(want) < tiny, 0, want))
 
 
 def test_adam_equals_the_textbook_step_with_fresh_temporaries_bit_for_bit():

@@ -3,6 +3,9 @@ import base64
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,40 @@ def test_channel_check_with_a_shape_out_of_range_gives_exit_2(capsys, flag, valu
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+# the config passes on its own shapes; the override makes E[1/g] overflow
+@pytest.mark.parametrize("flag, value, shapes", [
+    ("--m", "1.0000001", "m=1.0000001 and m_s=6.0"),
+    ("--m-s", "1.0000001", "m=6.0 and m_s=1.0000001"),
+])
+def test_channel_check_with_an_override_that_overflows_a_moment_gives_exit_2(
+        tmp_path, capsys, flag, value, shapes):
+    config = _write(tmp_path / "config.json", {"channel": {"distance_m": 1e80}})
+    assert cli.main(["channel-check", "--config", config, "--draws", "1000"]) == cli.EXIT_OK
+    capsys.readouterr()
+    argv = ["channel-check", "--config", config, flag, value, "--draws", "1000"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: the channel settings with {shapes} give a gain moment "
+                            "too large for a float\n")
+    assert captured.out == ""
+
+
+def test_importing_the_cli_loads_no_scipy_and_channel_check_still_passes():
+    """Only channel-check and ``channel.pdf`` use scipy, and import it when
+    called; a fresh interpreter shows what importing the CLI loads."""
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import sys; import semsample.cli as cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+              "sys.exit(cli.main(['channel-check']))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "all channel checks passed" and "FAIL" not in done.stdout
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -269,12 +269,11 @@ def cmd_channel_check(args: argparse.Namespace) -> int:
     # resolve_config checked the closed forms at the config's shapes, not
     # at the overrides
     try:
-        mean_closed = moment(fading, 1)
         inv_closed = moment(fading, -1)
         e_closed = expected_energy(bits, link, fading)
     except OverflowError as exc:
         raise ConfigError(f"the channel settings with m={fading.m!r} and m_s={fading.m_s!r} "
-                          "give a gain moment too large for a float") from exc
+                          "give an inverse gain moment too large for a float") from exc
 
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     draws = sample_gain(fading, rng, size=args.draws)
@@ -291,6 +290,7 @@ def cmd_channel_check(args: argparse.Namespace) -> int:
     norm = x_quad(lambda x: 1.0)
     _check_line("pdf normalization (quadrature)", norm, 1.0, 1e-6, failures)
 
+    mean_closed = moment(fading, 1)
     mean_quad = g_bar * x_quad(lambda x: x)
     _check_line("mean: closed form vs g_bar", mean_closed, fading.g_bar, 1e-9, failures)
     _check_line("mean: quadrature vs closed form", mean_quad, mean_closed, 1e-6, failures)

@@ -86,8 +86,8 @@ def test_channel_check_with_an_override_that_overflows_a_moment_gives_exit_2(
     argv = ["channel-check", "--config", config, flag, value, "--draws", "1000"]
     assert cli.main(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err == (f"error: the channel settings with {shapes} give a gain moment "
-                            "too large for a float\n")
+    assert captured.err == (f"error: the channel settings with {shapes} give an inverse gain "
+                            "moment too large for a float\n")
     assert captured.out == ""
 
 

@@ -96,7 +96,7 @@ def test_importing_the_cli_loads_no_scipy_and_channel_check_still_passes():
     called; a fresh interpreter shows what importing the CLI loads."""
     src = Path(cli.__file__).resolve().parents[1]
     script = ("import sys; import semsample.cli as cli; "
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+              "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
               "sys.exit(cli.main(['channel-check']))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,

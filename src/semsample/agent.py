@@ -266,6 +266,10 @@ class SacNetworks:
     ``target_q1`` and ``target_q2`` are plain nets viewing their halves.
     The target critics share the critics' pass buffers: nothing reads their
     hidden activations, and the critics' own pass overwrites them next.
+    They share the critics' helper thread too: when a batch's work per
+    critic is above ``nets.THREADED_WORK``, as at the paper's widths and
+    batch, each stacked pass runs ``q2``'s half on that one helper while
+    the calling thread runs ``q1``'s (see :mod:`semsample.nets`).
     """
 
     N_ACTIONS = 2
@@ -286,10 +290,11 @@ class SacNetworks:
 
     def _stack_critics(self, q1: Mlp, q2: Mlp, target_q1: Mlp, target_q2: Mlp) -> None:
         """Copy the twins and their targets into the two stacked nets, which
-        share one set of pass buffers."""
+        share one set of pass buffers and one helper thread."""
         self.critics, (self.q1, self.q2) = Mlp.stack([q1, q2])
         self.target_critics, (self.target_q1, self.target_q2) = Mlp.stack([target_q1, target_q2])
         self.target_critics._buffers = self.critics._buffers
+        self.target_critics._helper = self.critics._helper
 
     @property
     def temperature(self) -> float:

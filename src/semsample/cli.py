@@ -12,6 +12,7 @@ manifest with content digests, so reruns are diffable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -80,8 +81,23 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, digest: str, seed: int,
-                    outputs: list[Path], started: float, status: str = "ok") -> Path:
+@contextlib.contextmanager
+def _phase(phase_s: dict[str, float], name: str):
+    """Record the wall time of the ``with`` block in ``phase_s[name]``,
+    also when it raises."""
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        phase_s[name] = time.monotonic() - start
+
+
+def _write_manifest(out_dir: Path, command: str, digest: str, seed: int, outputs: list[Path],
+                    started: float, phase_s: dict[str, float], status: str = "ok") -> Path:
+    """The run's record: its outputs' digests, the wall time of the whole
+    command and of each phase, and what sets its speed, the BLAS library
+    and the CPU count (neither changes the outputs)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "status": status,
@@ -90,6 +106,9 @@ def _write_manifest(out_dir: Path, command: str, digest: str, seed: int,
         "seed": seed,
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
         "wall_clock_s": time.monotonic() - started,
+        "phase_s": phase_s,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -162,7 +181,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     digest = config_digest(resolved)
 
     sac_cfg = build_sac_config(resolved)
-    clips = build_clips(resolved["train_clips"], args.base_dir)
+    phase_s: dict[str, float] = {}
+    with _phase(phase_s, "build_clips"):
+        clips = build_clips(resolved["train_clips"], args.base_dir)
     episode_cfg = build_episode_config(resolved, seed=seed)
     env = SamplingEnv(episode_cfg, clips)
     trainer = Trainer(env, sac_cfg, seed=seed,
@@ -182,15 +203,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     curves_path = out_dir / "curves.csv"
     rows = []
     try:
-        for episode in range(start_episode, start_episode + episodes):
-            metrics = trainer.run_episode(episode)
-            log.debug("episode %d reward %.3f", episode, metrics.cumulative_reward)
-            rows.append({"episode": episode, **{c: getattr(metrics, c) for c in METRIC_COLUMNS}})
+        with _phase(phase_s, "train"):
+            for episode in range(start_episode, start_episode + episodes):
+                metrics = trainer.run_episode(episode)
+                log.debug("episode %d reward %.3f", episode, metrics.cumulative_reward)
+                rows.append({"episode": episode, **{c: getattr(metrics, c) for c in METRIC_COLUMNS}})
     except TrainingDiverged as exc:
         # a record of the finished episodes, but no snapshot: the last step
         # may have left non-finite weights
         _write_csv(curves_path, CURVE_COLUMNS, rows)
-        _write_manifest(out_dir, "train", digest, seed, [curves_path], started, status="diverged")
+        _write_manifest(out_dir, "train", digest, seed, [curves_path], started, phase_s, status="diverged")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
@@ -200,7 +222,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         separators=(",", ":"),
     ))
     _write_csv(curves_path, CURVE_COLUMNS, rows)
-    _write_manifest(out_dir, "train", digest, seed, [snapshot_path, curves_path], started)
+    _write_manifest(out_dir, "train", digest, seed, [snapshot_path, curves_path], started, phase_s)
     print(f"trained {episodes} episodes -> {snapshot_path}")
     return EXIT_OK
 
@@ -215,7 +237,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     nets, _ = _read_snapshot(args.snapshot, resolved)
 
-    clips = build_clips(resolved["eval_clips"], args.base_dir)
+    phase_s: dict[str, float] = {}
+    with _phase(phase_s, "build_clips"):
+        clips = build_clips(resolved["eval_clips"], args.base_dir)
     if not clips:
         raise ConfigError("no clips to evaluate")
 
@@ -234,12 +258,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 fh.write(json.dumps(dataclasses.asdict(step), separators=(",", ":")) + "\n")
         outputs.append(path)
 
-    rows = compare_policies(episode_cfg, clips, policies, seed=seed, record_trace=args.traces,
-                            on_result=on_result if args.traces else None)
+    with _phase(phase_s, "evaluate"):
+        rows = compare_policies(episode_cfg, clips, policies, seed=seed, record_trace=args.traces,
+                                on_result=on_result if args.traces else None)
     comparison_path = out_dir / "comparison.csv"
     _write_csv(comparison_path, COMPARISON_COLUMNS, rows)
     outputs.append(comparison_path)
-    _write_manifest(out_dir, "evaluate", digest, seed, outputs, started)
+    _write_manifest(out_dir, "evaluate", digest, seed, outputs, started, phase_s)
     print(f"evaluated {len(policies)} policies on {len(clips)} clips -> {comparison_path}")
     return EXIT_OK
 

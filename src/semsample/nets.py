@@ -13,6 +13,24 @@ Its ``flat`` vector is the members' vectors end to end, ``[q1.flat |
 q2.flat]`` for two, and the members are returned as views into it, so Adam
 and the soft update step all of them in one pass.
 
+The members of a stacked net are independent until their caller joins the
+outputs, so a large pass runs them on two threads: the calling thread runs
+member 0's whole forward or backward pass while the net's helper thread
+runs the others'.  Each member makes the same BLAS calls as in a serial
+pass, so the bits are the serial pass's, and writes only its own slices of
+the buffers, the output and the gradients.  NumPy releases the interpreter
+lock inside those calls, so the two threads run at once.  Handing work to
+the helper costs a fixed 0.15-0.2 ms, so only a pass whose work per
+member, rows x parameters, is above ``THREADED_WORK`` takes the threaded
+path; the rest stay serial.  The helper is a one-thread executor that each
+stacked net owns, or shares with a net that shares its buffers; its thread
+starts at the first threaded pass and ends when the nets that hold it are
+collected.  A pass waits for the helper before it returns or raises, and
+raises the calling thread's exception first.  The helper calls only numpy
+and this module's private functions, never a public method such as
+``Mlp.forward_cached`` or ``Adam.step``: tracing wraps those with a span
+stack that is not thread-safe, and counts one call per pass.
+
 Passes write into buffers that each net keeps and reuses, one set per row
 count it has seen: the hidden activations of :meth:`Mlp.forward_cached`
 and the ReLU masks of :meth:`Mlp.backward`.  A multi-MB array made fresh
@@ -33,11 +51,21 @@ them to ``dtype``, so a float32 net read as float64 gets its values exactly.
 from __future__ import annotations
 
 import base64
-from typing import Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["Mlp", "Adam"]
+
+# A stacked net's pass runs its members on two threads when each member's
+# work, rows x parameters per member, is above this.  Handing the second
+# member to the helper thread and waiting for it costs 0.15-0.2 ms (2-core
+# x86-64 VM, 1 BLAS thread), so a 2-member forward and backward runs faster
+# threaded only from about 5 M: at 32-32 widths 3.1 M (512 rows) took 0.86
+# ms threaded against 0.66 ms serial, and at the paper's widths 9.4 M (64
+# rows) 1.31 ms against 1.56 ms and 150 M (1,024 rows) 9.8 ms against 19.5.
+THREADED_WORK = 1 << 23
 
 
 class Mlp:
@@ -56,8 +84,9 @@ class Mlp:
     weights and ``(n, 1, out)`` biases.  It takes the same 2-D input as its
     members and returns their outputs as ``(n, rows, out)``.
 
-    Each net keeps its pass buffers in ``_buffers`` (see the module
-    docstring); a copy or a stack starts with none.
+    Each net keeps its pass buffers in ``_buffers`` and a stacked net its
+    helper thread in ``_helper`` (see the module docstring); a copy or a
+    stack starts with no buffers, and a stacked one with its own helper.
     """
 
     def __init__(self, dims: Sequence[int], rng: np.random.Generator, dtype=np.float32):
@@ -78,6 +107,8 @@ class Mlp:
         self.flat = flat
         self.n_stacked = n_stacked
         self._buffers: dict[tuple[str, int], list[np.ndarray]] = {}
+        # runs members 1.. of a threaded pass; its thread starts at the first one
+        self._helper = ThreadPoolExecutor(1, thread_name_prefix="semsample-mlp") if n_stacked > 1 else None
         lead = (n_stacked,) if n_stacked else ()
         rows = flat.reshape(*lead, -1)
         self.weights, self.biases = [], []
@@ -100,7 +131,12 @@ class Mlp:
     @staticmethod
     def stack(nets: Sequence["Mlp"]) -> tuple["Mlp", list["Mlp"]]:
         """One stacked net over a copy of the parameters of ``nets``, and
-        the members again as plain nets viewing their part of it."""
+        the members again as plain nets viewing their part of it.
+
+        The stacked net's passes run the members on two threads when each
+        member's work, rows x parameters, is above ``THREADED_WORK``, and
+        one after the other below it, where the handoff would cost more
+        than it saves (see the module docstring)."""
         first = nets[0]
         if any(n.n_stacked or n.dims != first.dims or n.dtype != first.dtype for n in nets):
             raise ValueError("only plain nets of one shape and dtype stack")
@@ -135,16 +171,14 @@ class Mlp:
         a = np.asarray(x, dtype=self.dtype)
         if a.ndim == 1:
             a = a[None, :]
-        hidden = self._buffers_for("act", a.shape[-2])
-        cache = [a]
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w if i == last else np.matmul(a, w, out=hidden[i])
-            a += b
-            if i != last:
-                np.maximum(a, 0.0, out=a)  # ReLU
-            cache.append(a)
-        return a, cache
+        rows = a.shape[-2]
+        hidden = self._buffers_for("act", rows)
+        if not self._threaded(rows):
+            return _forward(a, self.weights, self.biases, hidden)
+        out = np.empty((self.n_stacked, rows, self.dims[-1]), self.dtype)
+        self._on_members(lambda k: _forward(
+            a, [w[k] for w in self.weights], [b[k] for b in self.biases], [h[k] for h in hidden], out[k]))
+        return out, [a, *hidden, out]
 
     def backward(
         self, cache: list[np.ndarray], grad_out: np.ndarray
@@ -155,19 +189,41 @@ class Mlp:
         ``(n, out)``.  The gradients are fresh arrays.  Each layer's delta
         overwrites the hidden activation it replaces in ``cache``, so the
         cache is consumed."""
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers  # type: ignore[list-item]
         delta = np.asarray(grad_out, dtype=self.dtype)
         if delta.ndim == 1:
             delta = delta[None, :]
-        masks = self._buffers_for("mask", delta.shape[-2])
-        for i in range(self.n_layers - 1, -1, -1):
-            a_in = cache[i]
-            grads[i] = (np.swapaxes(a_in, -1, -2) @ delta, delta.sum(axis=-2))
-            if i > 0:
-                mask = np.greater(a_in, 0, out=masks[i - 1])  # ReLU mask of the input activation
-                delta = np.matmul(delta, np.swapaxes(self.weights[i], -1, -2), out=a_in)
-                delta *= mask
+        rows = delta.shape[-2]
+        masks = self._buffers_for("mask", rows)
+        if not self._threaded(rows):
+            return _backward(cache, delta, self.weights, masks)
+        grads = [(np.empty_like(w), np.empty((self.n_stacked, w.shape[-1]), self.dtype))
+                 for w in self.weights]
+        # the input cache[0] is every member's; the rest is stacked
+        self._on_members(lambda k: _backward(
+            [cache[0], *(c[k] for c in cache[1:])], delta[k], [w[k] for w in self.weights],
+            [m[k] for m in masks], [(dw[k], db[k]) for dw, db in grads]))
         return grads
+
+    def _threaded(self, rows: int) -> bool:
+        """Whether a pass on ``rows`` rows runs the members on two threads:
+        only a stacked net's, and only when each member's work is above
+        :data:`THREADED_WORK`."""
+        return self.n_stacked > 1 and rows * (self.flat.size // self.n_stacked) > THREADED_WORK
+
+    def _on_members(self, task: Callable[[int], object]) -> None:
+        """Run ``task(k)`` for every member k: member 0 on this thread while
+        the helper runs the others.  Waits for the helper before returning
+        or raising; this thread's exception wins over the helper's."""
+        def others() -> None:
+            for k in range(1, self.n_stacked):
+                task(k)
+
+        helper = self._helper.submit(others)
+        try:
+            task(0)
+        finally:
+            wait([helper])
+        helper.result()
 
     def parameters(self) -> list[np.ndarray]:
         """The views [w0, b0, w1, b1, ...] of ``flat``."""
@@ -216,6 +272,37 @@ class Mlp:
                              f"need {count * stored.itemsize} as {stored.str}")
         net._view(np.frombuffer(packed, dtype=stored).astype(net.dtype))
         return net
+
+
+def _forward(a, weights, biases, hidden, out=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One pass through the layers, a plain net's or a whole stacked net's,
+    with the hidden activations written into ``hidden`` and the output into
+    ``out`` (fresh if None).  Returns the output and the cache."""
+    cache = [a]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        a = np.matmul(a, w, out=out if i == last else hidden[i])
+        a += b
+        if i != last:
+            np.maximum(a, 0.0, out=a)  # ReLU
+        cache.append(a)
+    return a, cache
+
+
+def _backward(cache, delta, weights, masks, grads=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Backprop through the layers of :func:`_forward`'s cache, the ReLU
+    masks written into ``masks`` and the gradients into ``grads``' (dW, db)
+    pairs (fresh if None)."""
+    grads = grads or [(None, None)] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        a_in = cache[i]
+        dw, db = grads[i]
+        grads[i] = (np.matmul(a_in.swapaxes(-1, -2), delta, out=dw), delta.sum(axis=-2, out=db))
+        if i > 0:
+            mask = np.greater(a_in, 0, out=masks[i - 1])  # ReLU mask of the input activation
+            delta = np.matmul(delta, weights[i].swapaxes(-1, -2), out=a_in)
+            delta *= mask
+    return grads
 
 
 class Adam:

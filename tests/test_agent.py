@@ -1,12 +1,16 @@
 import base64
 import dataclasses
+import gc
 import json
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from semsample import agent
+from semsample import agent, nets as nets_module
 from semsample.agent import (
     ReplayMemory,
     SacConfig,
@@ -303,6 +307,10 @@ def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
 
 # -- stacked twin critics --------------------------------------------------
 
+# the paper's critic on the default config's features
+PAPER_DIMS = (StateScaling().state_dim, *SacConfig().widths, SacNetworks.N_ACTIONS)
+
+
 def _twins(dtype, dims=(7, 16, 8, 3)):
     rng = np.random.default_rng(5)
     return Mlp(dims, rng, dtype), Mlp(dims, rng, dtype)
@@ -313,16 +321,20 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("rows", [1, 64])
+@pytest.mark.parametrize("rows", [1, 64, 1024])
 def test_stacked_passes_equal_each_members_own_pass_bit_for_bit(dtype, rows):
-    nets = _twins(dtype)
+    # 1,024 rows at the paper's widths is above the gate, so the members run
+    # on two threads; the small cases stay serial
+    dims = PAPER_DIMS if rows == 1024 else (7, 16, 8, 3)
+    nets = _twins(dtype, dims)
     stacked, members = Mlp.stack(nets)
+    assert stacked._threaded(rows) == (rows == 1024)
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(rows, 7))
-    grad_out = rng.normal(size=(2, rows, 3))
+    x = rng.normal(size=(rows, dims[0]))
+    grad_out = rng.normal(size=(2, rows, dims[-1]))
     # batch 1 goes in as one 1-D state, as select_action passes it
     out, cache = stacked.forward_cached(x[0] if rows == 1 else x)
-    assert out.shape == (2, rows, 3)
+    assert out.shape == (2, rows, dims[-1])
     own_passes = [own.forward_cached(x[0] if rows == 1 else x) for own in nets]
     for j, (own_out, own_cache) in enumerate(own_passes):
         assert _bits(out[j]) == _bits(own_out)
@@ -335,6 +347,108 @@ def test_stacked_passes_equal_each_members_own_pass_bit_for_bit(dtype, rows):
         for (dw, db), (own_dw, own_db) in zip(grads, own.backward(own_cache, grad_out[j])):
             assert _bits(dw[j]) == _bits(own_dw) and _bits(db[j]) == _bits(own_db)
         assert _bits(members[j].forward(x)) == _bits(own.forward(x))
+
+
+def _member_bits(nets, x, grad_out):
+    """Each member's own serial output and gradients, as bits."""
+    bits = []
+    for own, g in zip(nets, grad_out):
+        out, cache = own.forward_cached(x)
+        bits.append((_bits(out), [(_bits(dw), _bits(db)) for dw, db in own.backward(cache, g)]))
+    return bits
+
+
+def _stacked_bits(stacked, x, grad_out):
+    """A stacked net's forward and backward, split into its members' bits."""
+    out, cache = stacked.forward_cached(x)
+    grads = stacked.backward(cache, grad_out)
+    return [(_bits(out[j]), [(_bits(dw[j]), _bits(db[j])) for dw, db in grads])
+            for j in range(stacked.n_stacked)]
+
+
+def test_threaded_passes_with_fast_thread_switches_equal_the_members_own_passes():
+    """Two stacked nets, each driven from its own thread, so four threads
+    share the cores; each alternates two row counts above the gate, so the
+    pass buffers of each are reused."""
+    nets = _twins(np.float32, PAPER_DIMS)
+    rng = np.random.default_rng(8)
+    inputs = {rows: (rng.normal(size=(rows, PAPER_DIMS[0])), rng.normal(size=(2, rows, PAPER_DIMS[-1])))
+              for rows in (64, 96)}
+    want = {rows: _member_bits(nets, x, g) for rows, (x, g) in inputs.items()}
+    stacks = [Mlp.stack(nets)[0] for _ in range(2)]
+    assert all(stacked._threaded(rows) for stacked in stacks for rows in inputs)
+    results: list = []
+
+    def drive(stacked):
+        try:
+            for i in range(30):
+                rows = (64, 96)[i % 2]
+                results.append(_stacked_bits(stacked, *inputs[rows]) == want[rows])
+        except Exception as exc:  # reported by the assertion below
+            results.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        drivers = [threading.Thread(target=drive, args=(stacked,)) for stacked in stacks]
+        for driver in drivers:
+            driver.start()
+        for driver in drivers:
+            driver.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(driver.is_alive() for driver in drivers)
+    assert results == [True] * 60
+
+
+def test_a_threaded_pass_raises_the_serial_error_after_its_helper_has_finished(monkeypatch):
+    nets = _twins(np.float32, PAPER_DIMS)
+    stacked, _ = Mlp.stack(nets)
+    rng = np.random.default_rng(9)
+    x, grad_out = rng.normal(size=(1024, PAPER_DIMS[0])), rng.normal(size=(2, 1024, PAPER_DIMS[-1]))
+    wide = rng.normal(size=(1024, PAPER_DIMS[0] + 1))
+    assert stacked._threaded(1024)
+    with pytest.raises(ValueError) as serial:
+        nets[0].forward_cached(wide)
+    caller, helper_done, real_forward = threading.get_ident(), [], nets_module._forward
+
+    def slow_on_the_helper(*args):
+        if threading.get_ident() == caller:
+            return real_forward(*args)
+        try:
+            time.sleep(0.05)
+            return real_forward(*args)
+        finally:
+            helper_done.append(True)
+
+    monkeypatch.setattr(nets_module, "_forward", slow_on_the_helper)
+    with pytest.raises(ValueError) as threaded:
+        stacked.forward_cached(wide)
+    assert helper_done == [True]
+    assert str(threaded.value) == str(serial.value)
+    monkeypatch.undo()
+    assert _stacked_bits(stacked, x, grad_out) == _member_bits(nets, x, grad_out)
+
+
+def test_a_trainers_one_helper_thread_ends_when_the_trainer_is_collected():
+    config = SacConfig(batch_size=128, memory_capacity=200, warmup_transitions=16)
+    before = set(threading.enumerate())
+    baseline = len(before)
+    trainer = _trainer(config=config)
+    assert config.widths == SacConfig().widths and trainer.nets.critics._threaded(128)
+    _fill_memory(trainer, 128)
+    # no thread starts before the first threaded pass
+    assert not set(threading.enumerate()) - before
+    trainer.update()
+    # the critics and their targets share one helper
+    helpers = set(threading.enumerate()) - before
+    assert len(helpers) == 1
+    del trainer
+    gc.collect()
+    for helper in helpers:
+        helper.join(timeout=10)
+        assert not helper.is_alive()
+    assert threading.active_count() <= baseline
 
 
 def test_stacked_net_is_its_members_flats_end_to_end():

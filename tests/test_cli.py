@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semsample import agent, cli, config
@@ -93,17 +94,20 @@ def test_channel_check_with_an_override_that_overflows_a_moment_gives_exit_2(
 
 def test_importing_the_cli_loads_no_scipy_and_channel_check_still_passes():
     """Only channel-check and ``channel.pdf`` use scipy, and import it when
-    called; a fresh interpreter shows what importing the CLI loads."""
+    called; a fresh interpreter shows what importing the CLI loads.  Nor
+    does importing start a thread: a stacked net starts its helper at its
+    first threaded pass."""
     src = Path(cli.__file__).resolve().parents[1]
-    script = ("import sys; import semsample.cli as cli; "
+    script = ("import sys, threading; import semsample.cli as cli; "
               "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+              "print(threading.active_count()); "
               "sys.exit(cli.main(['channel-check']))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == cli.EXIT_OK, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "[]"
+    assert lines[:2] == ["[]", "1"]
     assert lines[-1] == "all channel checks passed" and "FAIL" not in done.stdout
 
 
@@ -244,6 +248,28 @@ def test_a_diverged_training_run_leaves_its_curves_and_a_manifest(tmp_path, caps
     assert manifest["status"] == "diverged"
     assert list(manifest["outputs"]) == ["curves.csv"]
     assert sorted(p.name for p in out.iterdir()) == ["curves.csv", "manifest.json"]
+
+
+def test_each_manifest_records_its_phase_times_the_blas_and_the_cpu_count(tmp_path, capsys, monkeypatch):
+    config = _write(tmp_path / "config.json", TINY)
+    train, evaluation, diverged = tmp_path / "train", tmp_path / "eval", tmp_path / "diverged"
+    assert cli.main(["train", "--config", config, "--episodes", "1", "--out", str(train)]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--config", config, "--snapshot", str(train / "snapshot.json"),
+                     "--out", str(evaluation)]) == cli.EXIT_OK
+    real = agent.critic_loss_and_grads
+    monkeypatch.setattr(agent, "critic_loss_and_grads", lambda nets, batch: (math.nan, *real(nets, batch)[1:]))
+    assert cli.main(["train", "--config", config, "--episodes", "1", "--out", str(diverged)]) == cli.EXIT_RUNTIME
+    capsys.readouterr()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    for out, phases in ((train, ["build_clips", "train"]),
+                        (evaluation, ["build_clips", "evaluate"]),
+                        (diverged, ["build_clips", "train"])):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["phase_s"]) == phases
+        assert all(0 <= s <= manifest["wall_clock_s"] for s in manifest["phase_s"].values())
+        assert sum(manifest["phase_s"].values()) <= manifest["wall_clock_s"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert manifest["cpu_count"] == os.cpu_count()
 
 
 def test_fixed_seed_runs_write_byte_identical_outputs(tmp_path):

@@ -7,18 +7,27 @@ expectation over actions in the actor, critic and temperature losses is a
 two-term sum evaluated exactly; no sampling estimator is involved.  All
 gradients are analytic (see :mod:`semsample.nets`) and are checked against
 finite differences in the test suite.
+
+At the paper's widths and batch the trainer runs each update on two
+threads, its own and one helper thread that it owns: the twin critics'
+passes and steps side by side, the actor's two forward passes beside them,
+and each layer of the actor's backward as its weight gradient beside the
+delta it passes down (see :class:`Trainer`).  A thread runs whole passes,
+never a part of a pass's rows, so every bit is the serial update's.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from .layout import MAX_VEHICLES, RECORD_BITS
-from .nets import Adam, Mlp
+from .nets import Adam, Mlp, _backward, _forward, _layer_delta, _layer_grads
 
 if TYPE_CHECKING:
     from .simulator import EpisodeMetrics, SamplingEnv
@@ -46,6 +55,15 @@ MAX_PACKET_BITS = MAX_VEHICLES * RECORD_BITS  # framing cap times record size
 
 # version 2 packs each net's weights as raw little-endian bytes in base64
 SNAPSHOT_VERSION = 2
+
+# Trainer.update runs on two threads when its work per net, batch rows x
+# parameters of one net, is above this.  Handing work to the helper thread
+# and waiting for it costs 0.15-0.2 ms (2-core x86-64 VM, 1 BLAS thread),
+# so a two-member pass runs faster split only from about 5 M: at 32-32
+# widths 3.1 M (512 rows) took 0.86 ms split against 0.66 ms serial, and at
+# the paper's widths 9.4 M (64 rows) 1.31 ms against 1.56 ms and 150 M
+# (1,024 rows) 9.8 ms against 19.5.
+THREADED_WORK = 1 << 23
 
 # ReplayMemory allocates all its rows up front: 1M rows of the default
 # 153-feature float32 state are 0.6 GB, ten times the paper's 100k memory.
@@ -266,10 +284,6 @@ class SacNetworks:
     ``target_q1`` and ``target_q2`` are plain nets viewing their halves.
     The target critics share the critics' pass buffers: nothing reads their
     hidden activations, and the critics' own pass overwrites them next.
-    They share the critics' helper thread too: when a batch's work per
-    critic is above ``nets.THREADED_WORK``, as at the paper's widths and
-    batch, each stacked pass runs ``q2``'s half on that one helper while
-    the calling thread runs ``q1``'s (see :mod:`semsample.nets`).
     """
 
     N_ACTIONS = 2
@@ -290,11 +304,10 @@ class SacNetworks:
 
     def _stack_critics(self, q1: Mlp, q2: Mlp, target_q1: Mlp, target_q2: Mlp) -> None:
         """Copy the twins and their targets into the two stacked nets, which
-        share one set of pass buffers and one helper thread."""
+        share one set of pass buffers."""
         self.critics, (self.q1, self.q2) = Mlp.stack([q1, q2])
         self.target_critics, (self.target_q1, self.target_q2) = Mlp.stack([target_q1, target_q2])
         self.target_critics._buffers = self.critics._buffers
-        self.target_critics._helper = self.critics._helper
 
     @property
     def temperature(self) -> float:
@@ -365,51 +378,63 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _policy_terms(nets: SacNetworks, states: np.ndarray):
-    logits, cache = nets.actor.forward_cached(states)
+# The loss functions below take, as optional arguments, passes that a
+# caller has already run on the same weights: a ``policy`` is the
+# (logits, cache) pair of ``nets.actor.forward_cached`` on the rows the
+# function would pass, and a ``backward(cache, grad_out)`` takes the place
+# of the net's own ``backward``.  Trainer.update runs them on two threads.
+
+def _policy_terms(nets: SacNetworks, states: np.ndarray, policy=None):
+    logits, cache = nets.actor.forward_cached(states) if policy is None else policy
     logp = log_softmax(logits)
     probs = np.exp(logp)
     return probs, logp, cache
 
 
-def critic_targets(nets: SacNetworks, batch: Batch) -> np.ndarray:
+def critic_targets(nets: SacNetworks, batch: Batch, *, next_policy=None, next_q=None) -> np.ndarray:
     """Soft Bellman targets: reward plus the entropy-regularized value of the
-    next state under the current policy and the min of the target critics."""
-    probs, logp, _ = _policy_terms(nets, batch.next_states)
-    q1_next, q2_next = nets.target_critics.forward(batch.next_states)
+    next state under the current policy and the min of the target critics.
+    ``next_q`` is the target critics' output on the next states."""
+    probs, logp, _ = _policy_terms(nets, batch.next_states, next_policy)
+    q1_next, q2_next = nets.target_critics.forward(batch.next_states) if next_q is None else next_q
     q_next = np.minimum(q1_next, q2_next)
     v_next = (probs * (q_next - nets.temperature * logp)).sum(axis=1)
     cont = (~batch.terminals).astype(v_next.dtype)
     return batch.rewards + nets.config.gamma * cont * v_next
 
 
-def critic_loss_and_grads(nets: SacNetworks, batch: Batch):
+def critic_loss_and_grads(nets: SacNetworks, batch: Batch, *, next_policy=None, next_q=None,
+                          q=None, backward: Optional[Callable] = None):
     """Half mean squared Bellman error for both critics (shared targets).
 
     Returns (loss, grads_q1, grads_q2); the loss is the sum of the two
     critic losses and targets are treated as constants.  Both critics make
-    one stacked forward and one stacked backward pass.
+    one stacked forward and one stacked backward pass.  ``next_policy`` and
+    ``next_q`` go to :func:`critic_targets`; ``q`` is the critics'
+    ``forward_cached`` pair on the states.
     """
-    y = critic_targets(nets, batch)
+    y = critic_targets(nets, batch, next_policy=next_policy, next_q=next_q)
     n = batch.states.shape[0]
     rows = np.arange(n)
-    out, cache = nets.critics.forward_cached(batch.states)
+    out, cache = nets.critics.forward_cached(batch.states) if q is None else q
     diff = out[:, rows, batch.actions] - y
     loss = 0.0
     for d in diff:
         loss += float(0.5 * np.mean(d**2))
     d_out = np.zeros_like(out)
     d_out[:, rows, batch.actions] = diff / n
-    grads = nets.critics.backward(cache, d_out)
+    grads = (backward or nets.critics.backward)(cache, d_out)
     return loss, [(dw[0], db[0]) for dw, db in grads], [(dw[1], db[1]) for dw, db in grads]
 
 
-def actor_loss_and_grads(nets: SacNetworks, batch: Batch):
+def actor_loss_and_grads(nets: SacNetworks, batch: Batch, *, policy=None, q=None,
+                         backward: Optional[Callable] = None):
     """Expected (temperature * log pi - min Q) under the policy, with the
     expectation over the two actions computed exactly.  Critics are constant.
+    ``q`` is the critics' output on the states.
     """
-    probs, logp, cache = _policy_terms(nets, batch.states)
-    q1, q2 = nets.critics.forward(batch.states)
+    probs, logp, cache = _policy_terms(nets, batch.states, policy)
+    q1, q2 = nets.critics.forward(batch.states) if q is None else q
     q_min = np.minimum(q1, q2)
     f = nets.temperature * logp - q_min
     per_state = (probs * f).sum(axis=1, keepdims=True)
@@ -417,7 +442,7 @@ def actor_loss_and_grads(nets: SacNetworks, batch: Batch):
     n = batch.states.shape[0]
     # d/dlogits of sum_a pi_a (T log pi_a - Q_a) = pi_b (f_b - E_pi[f])
     d_logits = probs * (f - per_state) / n
-    grads = nets.actor.backward(cache, d_logits)
+    grads = (backward or nets.actor.backward)(cache, d_logits)
     return loss, grads
 
 
@@ -444,10 +469,16 @@ def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     """Blend target parameters toward the source: target = tau*source + (1-tau)*target."""
     if target.dims != source.dims or target.n_stacked != source.n_stacked:
         raise ValueError(f"shape mismatch {target.dims} vs {source.dims}")
-    target.flat *= 1.0 - tau
-    for start in range(0, target.flat.size, SOFT_UPDATE_BLOCK):
+    _blend(target.flat, source.flat, tau)
+
+
+def _blend(target: np.ndarray, source: np.ndarray, tau: float) -> None:
+    """target = tau*source + (1-tau)*target, elementwise on flat vectors, so
+    the parts of a vector give the bits of the whole."""
+    target *= 1.0 - tau
+    for start in range(0, target.size, SOFT_UPDATE_BLOCK):
         block = slice(start, start + SOFT_UPDATE_BLOCK)
-        target.flat[block] += tau * source.flat[block]
+        target[block] += tau * source[block]
 
 
 def select_action(
@@ -471,6 +502,38 @@ class TrainingDiverged(RuntimeError):
     """A loss became non-finite; training aborted."""
 
 
+class _Lanes:
+    """The calling thread and one helper thread, a one-worker executor whose
+    thread starts at the first :meth:`run` and ends when the lanes are
+    collected."""
+
+    def __init__(self):
+        self._helper = ThreadPoolExecutor(1, thread_name_prefix="semsample-lane")
+
+    def run(self, here: Callable[[], object], there: Callable[[], object]) -> None:
+        """``here()`` on the calling thread while the helper runs
+        ``there()``.  Waits for the helper before returning or raising, and
+        raises the calling thread's exception first."""
+        helper = self._helper.submit(there)
+        try:
+            here()
+        finally:
+            wait([helper])
+        helper.result()
+
+
+def _member(net: Mlp, k: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The weights and biases of member ``k`` of a stacked net, as views."""
+    return [w[k] for w in net.weights], [b[k] for b in net.biases]
+
+
+def _grad_views(net: Mlp, flat_grad: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The [(dW, db), ...] of ``net.backward`` as views of ``flat_grad``,
+    laid out as ``net.flat``."""
+    view = net._new(flat_grad, net.n_stacked)
+    return [(w, b[:, 0] if net.n_stacked else b) for w, b in zip(view.weights, view.biases)]
+
+
 class Trainer:
     """Runs episodes against an environment, one gradient step per env step.
 
@@ -478,6 +541,33 @@ class Trainer:
     ``SamplingEnv.play``.  The scene is re-randomized every
     ``scene_refresh_every`` episodes; within a block every episode replays
     the same initial scene.
+
+    When a batch's work per net, rows x parameters, is above
+    :data:`THREADED_WORK`, as at the paper's widths and batch, an update
+    runs on two lanes: the calling thread and the trainer's one helper
+    thread, which starts at the first such update and ends when the
+    trainer is collected.  Each lane runs only work whose result the other
+    lane does not read, in three phases that each end when both lanes have:
+
+    1. Lane k runs target critic k on the next states and critic k on the
+       states, keeping its cache.  Lane 0 first runs the actor on the next
+       states, in critic 0's pass buffers, and lane 1 then runs it on the
+       states.
+    2. After the critic loss, lane k runs critic k's backward into its half
+       of the flat gradient, its half of the critics' Adam step and of the
+       soft update, and critic k's forward on the states after its step.
+       Nothing after the soft update reads the targets.
+    3. After the actor loss, each layer of the actor's backward computes
+       dW and db on one lane while the other passes the delta down, into
+       critic 0's pass buffers, free by then, so that the activations dW
+       reads stay whole; then each lane takes half of the actor's Adam
+       step.
+
+    A lane makes the BLAS calls of the serial pass it stands in for and
+    steps whole elements, so the bits are the serial update's; no pass is
+    split by rows (see :mod:`semsample.nets`).  The lanes call only numpy
+    and private functions.  Below the gate an update makes its calls in
+    order on the calling thread.
     """
 
     def __init__(
@@ -500,6 +590,7 @@ class Trainer:
         self.memory = ReplayMemory(
             config.memory_capacity, env.state_dim, np.random.default_rng(replay_ss)
         )
+        self._lanes = _Lanes()
         self._build_optimizers()
         self.gradient_steps = 0
         self.episodes_trained = 0
@@ -513,9 +604,12 @@ class Trainer:
         # the log temperature stays a float on the networks; its optimizer
         # steps a 0-d copy of it
         self.opt_temperature = Adam([np.zeros(())], cfg.temperature_lr)
-        # the gradient vector each net's step gathers its layers' gradients into
+        # the gradient vector each net's step gathers its layers' gradients
+        # into, and its layers as views of it, which a laned backward fills
         self._flat_grads = {self.opt_critics: np.empty_like(self.nets.critics.flat),
                             self.opt_actor: np.empty_like(self.nets.actor.flat)}
+        self._grads = {net: _grad_views(net, self._flat_grads[opt])
+                       for net, opt in ((self.nets.critics, self.opt_critics), (self.nets.actor, self.opt_actor))}
 
     def load_networks(self, nets: SacNetworks) -> None:
         """Adopt previously trained networks (optimizer state starts fresh)."""
@@ -531,16 +625,21 @@ class Trainer:
         cfg = self.config
         dtype = np.dtype(cfg.dtype)
         batch = self.memory.sample(cfg.batch_size, dtype)
-        c_loss, g1, g2 = critic_loss_and_grads(self.nets, batch)
-        self._apply(self.opt_critics, self.nets.critics, g1 + g2)
-        del g1, g2  # fresh arrays: free them before the actor's pass makes its own
-        a_loss, ga = actor_loss_and_grads(self.nets, batch)
-        self._apply(self.opt_actor, self.nets.actor, ga)
+        laned = cfg.batch_size * self.nets.actor.flat.size > THREADED_WORK
+        if laned:
+            c_loss, a_loss = self._critics_and_actor_on_lanes(batch)
+        else:
+            c_loss, g1, g2 = critic_loss_and_grads(self.nets, batch)
+            self._apply(self.opt_critics, self.nets.critics, g1 + g2)
+            del g1, g2  # fresh arrays: free them before the actor's pass makes its own
+            a_loss, ga = actor_loss_and_grads(self.nets, batch)
+            self._apply(self.opt_actor, self.nets.actor, ga)
         t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy)
         log_t = np.array(self.nets.log_temperature)
         self.opt_temperature.step([log_t], [np.array(g_log_t)])
         self.nets.log_temperature = float(log_t)
-        soft_update(self.nets.target_critics, self.nets.critics, cfg.tau)
+        if not laned:  # the lanes ran it with the critics' step
+            soft_update(self.nets.target_critics, self.nets.critics, cfg.tau)
         self.gradient_steps += 1
         if not (math.isfinite(c_loss) and math.isfinite(a_loss) and math.isfinite(t_loss)):
             raise TrainingDiverged(
@@ -548,6 +647,77 @@ class Trainer:
                 f"critic={c_loss}, actor={a_loss}, temperature={t_loss}"
             )
         return c_loss, a_loss, t_loss
+
+    def _critics_and_actor_on_lanes(self, batch: Batch) -> tuple[float, float]:
+        """Phases 1-3 of a laned update (see the class docstring): the
+        critics' and the actor's losses and steps, and the soft update.
+        Returns the critic and actor losses."""
+        nets, lanes, tau = self.nets, self._lanes, self.config.tau
+        actor, critics, targets = nets.actor, nets.critics, nets.target_critics
+        states, next_states = batch.states, batch.next_states
+        rows = states.shape[0]
+        hidden = critics._buffers_for("act", rows)  # the target critics' too
+        masks = critics._buffers_for("mask", rows)
+        # critic 0's share of the critics' buffers, which the actor's shape
+        # fits: the actor's pass on the next states runs in it before target
+        # critic 0's pass does, and the actor's deltas go into it in phase 3
+        spare = [h[0] for h in hidden]
+        actor_hidden = actor._buffers_for("act", rows)
+        q_next, q, q_after = (np.empty((critics.n_stacked, rows, critics.dims[-1]), critics.dtype)
+                              for _ in range(3))
+        policies = [None, None]  # the actor on the next states, on the states
+
+        def forwards(k: int) -> None:
+            if k == 0:
+                policies[0] = _forward(next_states, actor.weights, actor.biases, spare)
+            _forward(next_states, *_member(targets, k), [h[k] for h in hidden], q_next[k])
+            _forward(states, *_member(critics, k), [h[k] for h in hidden], q[k])
+            if k == 1:
+                policies[1] = _forward(states, actor.weights, actor.biases, actor_hidden)
+
+        lanes.run(partial(forwards, 0), partial(forwards, 1))
+
+        critic_opt, grads = self.opt_critics, self._grads[critics]
+        critic_grad = self._flat_grads[critic_opt]
+        size = critics.flat.size // critics.n_stacked
+
+        def critic_step(k: int, bias: tuple, cache: list, d_out: np.ndarray) -> None:
+            weights, biases = _member(critics, k)
+            _backward([cache[0], *(c[k] for c in cache[1:])], d_out[k], weights, [m[k] for m in masks],
+                      [(dw[k], db[k]) for dw, db in grads])
+            part = slice(k * size, (k + 1) * size)
+            critic_opt._step_part(bias, 0, critics.flat, critic_grad, part)
+            _blend(targets.flat[part], critics.flat[part], tau)
+            _forward(states, weights, biases, [h[k] for h in hidden], q_after[k])
+
+        def critics_backward_and_step(cache: list, d_out: np.ndarray) -> list:
+            bias = critic_opt._count_step()
+            lanes.run(partial(critic_step, 0, bias, cache, d_out), partial(critic_step, 1, bias, cache, d_out))
+            return grads
+
+        c_loss, _, _ = critic_loss_and_grads(nets, batch, next_policy=policies[0], next_q=q_next,
+                                             q=(q, [states, *hidden, q]), backward=critics_backward_and_step)
+
+        actor_grads = self._grads[actor]
+        actor_masks = actor._buffers_for("mask", rows)
+
+        def actor_backward(cache: list, grad_out: np.ndarray) -> list:
+            delta = np.asarray(grad_out, actor.dtype)
+            for i in range(actor.n_layers - 1, 0, -1):
+                lanes.run(partial(_layer_grads, cache[i], delta, *actor_grads[i]),
+                          partial(_layer_delta, cache[i], delta, actor.weights[i], actor_masks[i - 1],
+                                  spare[i - 1]))
+                delta = spare[i - 1]
+            _layer_grads(cache[0], delta, *actor_grads[0])
+            return actor_grads
+
+        a_loss, _ = actor_loss_and_grads(nets, batch, policy=policies[1], q=q_after, backward=actor_backward)
+        actor_opt = self.opt_actor
+        step, bias, half = actor_opt._step_part, actor_opt._count_step(), actor.flat.size // 2
+        actor_grad = self._flat_grads[actor_opt]
+        lanes.run(partial(step, bias, 0, actor.flat, actor_grad, slice(None, half)),
+                  partial(step, bias, 0, actor.flat, actor_grad, slice(half, None)))
+        return c_loss, a_loss
 
     def _apply(self, opt: Adam, net: Mlp, grads) -> None:
         """One Adam step on ``net.flat`` with the [(dW, db), ...] of backward,

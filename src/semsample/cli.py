@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -92,11 +93,37 @@ def _phase(phase_s: dict[str, float], name: str):
         phase_s[name] = time.monotonic() - start
 
 
+# the thread-count getters of scipy-openblas (64- and 32-bit ints) and of
+# a plain OpenBLAS
+OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                           "openblas_get_num_threads")
+
+
+def _blas_threads() -> Optional[int]:
+    """The thread count of the first OpenBLAS this process has loaded that
+    exports a thread-count getter, or None when none does (or the process
+    map cannot be read, as off Linux)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps
+                           if "openblas" in line.lower() and line.rstrip().endswith(".so")})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in OPENBLAS_THREAD_SYMBOLS:
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
 def _write_manifest(out_dir: Path, command: str, digest: str, seed: int, outputs: list[Path],
                     started: float, phase_s: dict[str, float], status: str = "ok") -> Path:
     """The run's record: its outputs' digests, the wall time of the whole
-    command and of each phase, and what sets its speed, the BLAS library
-    and the CPU count (neither changes the outputs)."""
+    command and of each phase, and what sets its speed, the BLAS library,
+    its thread count and the CPU count (none changes the outputs)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
@@ -107,7 +134,7 @@ def _write_manifest(out_dir: Path, command: str, digest: str, seed: int, outputs
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
         "wall_clock_s": time.monotonic() - started,
         "phase_s": phase_s,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"), "threads": _blas_threads()},
         "cpu_count": os.cpu_count(),
     }
     path = out_dir / "manifest.json"
@@ -417,10 +444,13 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("SEMSAMPLE_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("SEMSAMPLE_LOG", "WARNING")
+    # a name logging does not know is a usage error, not a traceback
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: SEMSAMPLE_LOG must name a logging level such as WARNING or DEBUG, got {level!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:

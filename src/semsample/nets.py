@@ -13,23 +13,23 @@ Its ``flat`` vector is the members' vectors end to end, ``[q1.flat |
 q2.flat]`` for two, and the members are returned as views into it, so Adam
 and the soft update step all of them in one pass.
 
-The members of a stacked net are independent until their caller joins the
-outputs, so a large pass runs them on two threads: the calling thread runs
-member 0's whole forward or backward pass while the net's helper thread
-runs the others'.  Each member makes the same BLAS calls as in a serial
-pass, so the bits are the serial pass's, and writes only its own slices of
-the buffers, the output and the gradients.  NumPy releases the interpreter
-lock inside those calls, so the two threads run at once.  Handing work to
-the helper costs a fixed 0.15-0.2 ms, so only a pass whose work per
-member, rows x parameters, is above ``THREADED_WORK`` takes the threaded
-path; the rest stay serial.  The helper is a one-thread executor that each
-stacked net owns, or shares with a net that shares its buffers; its thread
-starts at the first threaded pass and ends when the nets that hold it are
-collected.  A pass waits for the helper before it returns or raises, and
-raises the calling thread's exception first.  The helper calls only numpy
-and this module's private functions, never a public method such as
-``Mlp.forward_cached`` or ``Adam.step``: tracing wraps those with a span
-stack that is not thread-safe, and counts one call per pass.
+Every pass here is serial and starts no thread.  At the paper's widths
+the trainer runs the parts of a SAC update that do not depend on each
+other on two threads, its own and a helper thread that it owns (see
+:class:`semsample.agent.Trainer`), through this module's private
+functions: :func:`_forward` of one member or of the actor,
+:func:`_backward` of one member, one layer's gradients
+(:func:`_layer_grads`) beside the delta it passes down
+(:func:`_layer_delta`), and :meth:`Adam._step_part` on part of a flat
+vector.  Each makes the same BLAS calls as the serial pass it stands in
+for, so the bits are the serial pass's.  No pass is split by rows or
+columns: a matrix product cut at a row or column boundary can round
+differently from the whole one (cuts at 333 or 17 of 1,024 rows changed
+bits at the paper's widths), while Adam's step is elementwise, so its
+parts give the bits of the whole.  Code that runs off the calling thread
+calls only numpy and these private functions, never a public method such
+as ``Mlp.forward_cached`` or ``Adam.step``: tracing wraps those with a
+span stack that is not thread-safe, and counts one call per pass.
 
 Passes write into buffers that each net keeps and reuses, one set per row
 count it has seen: the hidden activations of :meth:`Mlp.forward_cached`
@@ -51,21 +51,11 @@ them to ``dtype``, so a float32 net read as float64 gets its values exactly.
 from __future__ import annotations
 
 import base64
-from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = ["Mlp", "Adam"]
-
-# A stacked net's pass runs its members on two threads when each member's
-# work, rows x parameters per member, is above this.  Handing the second
-# member to the helper thread and waiting for it costs 0.15-0.2 ms (2-core
-# x86-64 VM, 1 BLAS thread), so a 2-member forward and backward runs faster
-# threaded only from about 5 M: at 32-32 widths 3.1 M (512 rows) took 0.86
-# ms threaded against 0.66 ms serial, and at the paper's widths 9.4 M (64
-# rows) 1.31 ms against 1.56 ms and 150 M (1,024 rows) 9.8 ms against 19.5.
-THREADED_WORK = 1 << 23
 
 
 class Mlp:
@@ -84,9 +74,8 @@ class Mlp:
     weights and ``(n, 1, out)`` biases.  It takes the same 2-D input as its
     members and returns their outputs as ``(n, rows, out)``.
 
-    Each net keeps its pass buffers in ``_buffers`` and a stacked net its
-    helper thread in ``_helper`` (see the module docstring); a copy or a
-    stack starts with no buffers, and a stacked one with its own helper.
+    Each net keeps its pass buffers in ``_buffers`` (see the module
+    docstring); a copy or a stack starts with none.
     """
 
     def __init__(self, dims: Sequence[int], rng: np.random.Generator, dtype=np.float32):
@@ -107,8 +96,6 @@ class Mlp:
         self.flat = flat
         self.n_stacked = n_stacked
         self._buffers: dict[tuple[str, int], list[np.ndarray]] = {}
-        # runs members 1.. of a threaded pass; its thread starts at the first one
-        self._helper = ThreadPoolExecutor(1, thread_name_prefix="semsample-mlp") if n_stacked > 1 else None
         lead = (n_stacked,) if n_stacked else ()
         rows = flat.reshape(*lead, -1)
         self.weights, self.biases = [], []
@@ -131,12 +118,7 @@ class Mlp:
     @staticmethod
     def stack(nets: Sequence["Mlp"]) -> tuple["Mlp", list["Mlp"]]:
         """One stacked net over a copy of the parameters of ``nets``, and
-        the members again as plain nets viewing their part of it.
-
-        The stacked net's passes run the members on two threads when each
-        member's work, rows x parameters, is above ``THREADED_WORK``, and
-        one after the other below it, where the handoff would cost more
-        than it saves (see the module docstring)."""
+        the members again as plain nets viewing their part of it."""
         first = nets[0]
         if any(n.n_stacked or n.dims != first.dims or n.dtype != first.dtype for n in nets):
             raise ValueError("only plain nets of one shape and dtype stack")
@@ -171,14 +153,7 @@ class Mlp:
         a = np.asarray(x, dtype=self.dtype)
         if a.ndim == 1:
             a = a[None, :]
-        rows = a.shape[-2]
-        hidden = self._buffers_for("act", rows)
-        if not self._threaded(rows):
-            return _forward(a, self.weights, self.biases, hidden)
-        out = np.empty((self.n_stacked, rows, self.dims[-1]), self.dtype)
-        self._on_members(lambda k: _forward(
-            a, [w[k] for w in self.weights], [b[k] for b in self.biases], [h[k] for h in hidden], out[k]))
-        return out, [a, *hidden, out]
+        return _forward(a, self.weights, self.biases, self._buffers_for("act", a.shape[-2]))
 
     def backward(
         self, cache: list[np.ndarray], grad_out: np.ndarray
@@ -192,38 +167,7 @@ class Mlp:
         delta = np.asarray(grad_out, dtype=self.dtype)
         if delta.ndim == 1:
             delta = delta[None, :]
-        rows = delta.shape[-2]
-        masks = self._buffers_for("mask", rows)
-        if not self._threaded(rows):
-            return _backward(cache, delta, self.weights, masks)
-        grads = [(np.empty_like(w), np.empty((self.n_stacked, w.shape[-1]), self.dtype))
-                 for w in self.weights]
-        # the input cache[0] is every member's; the rest is stacked
-        self._on_members(lambda k: _backward(
-            [cache[0], *(c[k] for c in cache[1:])], delta[k], [w[k] for w in self.weights],
-            [m[k] for m in masks], [(dw[k], db[k]) for dw, db in grads]))
-        return grads
-
-    def _threaded(self, rows: int) -> bool:
-        """Whether a pass on ``rows`` rows runs the members on two threads:
-        only a stacked net's, and only when each member's work is above
-        :data:`THREADED_WORK`."""
-        return self.n_stacked > 1 and rows * (self.flat.size // self.n_stacked) > THREADED_WORK
-
-    def _on_members(self, task: Callable[[int], object]) -> None:
-        """Run ``task(k)`` for every member k: member 0 on this thread while
-        the helper runs the others.  Waits for the helper before returning
-        or raising; this thread's exception wins over the helper's."""
-        def others() -> None:
-            for k in range(1, self.n_stacked):
-                task(k)
-
-        helper = self._helper.submit(others)
-        try:
-            task(0)
-        finally:
-            wait([helper])
-        helper.result()
+        return _backward(cache, delta, self.weights, self._buffers_for("mask", delta.shape[-2]))
 
     def parameters(self) -> list[np.ndarray]:
         """The views [w0, b0, w1, b1, ...] of ``flat``."""
@@ -296,13 +240,26 @@ def _backward(cache, delta, weights, masks, grads=None) -> list[tuple[np.ndarray
     grads = grads or [(None, None)] * len(weights)
     for i in range(len(weights) - 1, -1, -1):
         a_in = cache[i]
-        dw, db = grads[i]
-        grads[i] = (np.matmul(a_in.swapaxes(-1, -2), delta, out=dw), delta.sum(axis=-2, out=db))
+        grads[i] = _layer_grads(a_in, delta, *grads[i])
         if i > 0:
-            mask = np.greater(a_in, 0, out=masks[i - 1])  # ReLU mask of the input activation
-            delta = np.matmul(delta, weights[i].swapaxes(-1, -2), out=a_in)
-            delta *= mask
+            # the delta overwrites the activation it replaces, read above
+            delta = _layer_delta(a_in, delta, weights[i], masks[i - 1], a_in)
     return grads
+
+
+def _layer_grads(a_in, delta, dw=None, db=None) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's (dW, db) from its input activation and output delta,
+    written into ``dw`` and ``db`` (fresh if None)."""
+    return np.matmul(a_in.swapaxes(-1, -2), delta, out=dw), delta.sum(axis=-2, out=db)
+
+
+def _layer_delta(a_in, delta, w, mask, out) -> np.ndarray:
+    """The delta at a layer's input activation ``a_in``, written into
+    ``out``, with the ReLU mask of ``a_in`` written into ``mask`` first."""
+    np.greater(a_in, 0, out=mask)
+    delta = np.matmul(delta, w.swapaxes(-1, -2), out=out)
+    delta *= mask
+    return delta
 
 
 class Adam:
@@ -330,21 +287,36 @@ class Adam:
                          for p in params]
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
+        bias = self._count_step()
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self._step_part(bias, i, p, g)
+
+    def _count_step(self) -> tuple[float, float]:
+        """Count one step; returns its bias corrections for
+        :meth:`_step_part`."""
         self.t += 1
+        return 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+
+    def _step_part(self, bias: tuple[float, float], i: int, p: np.ndarray, g: np.ndarray,
+                   part: Optional[slice] = None) -> None:
+        """Step ``p``, the i-th parameter array, with gradient ``g``; only
+        the entries ``part`` of all three when given.  The step is
+        elementwise, so the parts of an array give the bits of the whole."""
+        m, v, (s, r, small) = self.m[i], self.v[i], self._scratch[i]
+        if part is not None:
+            p, g, m, v, s, r, small = (a[part] for a in (p, g, m, v, s, r, small))
         b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
-        for p, g, m, v, (s, r, small) in zip(params, grads, self.m, self.v, self._scratch):
-            g = g.astype(p.dtype, copy=False)
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=s)
-            v *= b2
-            v += np.multiply(1.0 - b2, np.square(g, out=s), out=s)
-            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
-            step = np.multiply(self.lr, np.divide(m, bias1, out=s), out=s)
-            denom = np.sqrt(np.divide(v, bias2, out=r), out=r)
-            denom += self.eps
-            p -= np.divide(step, denom, out=s)
-            tiny = np.finfo(m.dtype).tiny
-            np.copyto(m, 0, where=np.less(np.abs(m, out=s), tiny, out=small))
-            np.copyto(v, 0, where=np.less(v, tiny, out=small))  # v holds no negatives
+        bias1, bias2 = bias
+        g = g.astype(p.dtype, copy=False)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=s)
+        v *= b2
+        v += np.multiply(1.0 - b2, np.square(g, out=s), out=s)
+        # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        step = np.multiply(self.lr, np.divide(m, bias1, out=s), out=s)
+        denom = np.sqrt(np.divide(v, bias2, out=r), out=r)
+        denom += self.eps
+        p -= np.divide(step, denom, out=s)
+        tiny = np.finfo(m.dtype).tiny
+        np.copyto(m, 0, where=np.less(np.abs(m, out=s), tiny, out=small))
+        np.copyto(v, 0, where=np.less(v, tiny, out=small))  # v holds no negatives

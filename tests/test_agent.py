@@ -6,11 +6,12 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from semsample import agent, nets as nets_module
+from semsample import agent
 from semsample.agent import (
     ReplayMemory,
     SacConfig,
@@ -323,12 +324,11 @@ def _bits(a):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows", [1, 64, 1024])
 def test_stacked_passes_equal_each_members_own_pass_bit_for_bit(dtype, rows):
-    # 1,024 rows at the paper's widths is above the gate, so the members run
-    # on two threads; the small cases stay serial
+    # 1,024 rows at the paper's widths is training's case, where the
+    # trainer runs each member's pass on its own lane
     dims = PAPER_DIMS if rows == 1024 else (7, 16, 8, 3)
     nets = _twins(dtype, dims)
     stacked, members = Mlp.stack(nets)
-    assert stacked._threaded(rows) == (rows == 1024)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(rows, dims[0]))
     grad_out = rng.normal(size=(2, rows, dims[-1]))
@@ -349,48 +349,70 @@ def test_stacked_passes_equal_each_members_own_pass_bit_for_bit(dtype, rows):
         assert _bits(members[j].forward(x)) == _bits(own.forward(x))
 
 
-def _member_bits(nets, x, grad_out):
-    """Each member's own serial output and gradients, as bits."""
-    bits = []
-    for own, g in zip(nets, grad_out):
-        out, cache = own.forward_cached(x)
-        bits.append((_bits(out), [(_bits(dw), _bits(db)) for dw, db in own.backward(cache, g)]))
-    return bits
+# above the gate at the paper's widths: 128 rows x 105,002 parameters per net
+PAPER_SAC = SacConfig(batch_size=128, memory_capacity=200, warmup_transitions=16)
+OUT_OF_REACH = 1 << 62
 
 
-def _stacked_bits(stacked, x, grad_out):
-    """A stacked net's forward and backward, split into its members' bits."""
-    out, cache = stacked.forward_cached(x)
-    grads = stacked.backward(cache, grad_out)
-    return [(_bits(out[j]), [(_bits(dw[j]), _bits(db[j])) for dw, db in grads])
-            for j in range(stacked.n_stacked)]
+def _update_bits(trainer, updates):
+    """The losses of ``updates`` updates, then every flat, every Adam
+    moment and step count and the log temperature, as bits, and the pass
+    buffers each net holds."""
+    losses = [trainer.update() for _ in range(updates)]
+    nets = trainer.nets
+    return (np.array(losses).tobytes(),
+            [_bits(net.flat) for net in (nets.actor, nets.critics, nets.target_critics)],
+            [(opt.t, [_bits(a) for a in opt.m + opt.v])
+             for opt in (trainer.opt_critics, trainer.opt_actor, trainer.opt_temperature)],
+            nets.log_temperature.hex(),
+            [sorted(net._buffers) for net in (nets.actor, nets.critics, nets.target_critics)])
 
 
-def test_threaded_passes_with_fast_thread_switches_equal_the_members_own_passes():
-    """Two stacked nets, each driven from its own thread, so four threads
-    share the cores; each alternates two row counts above the gate, so the
-    pass buffers of each are reused."""
-    nets = _twins(np.float32, PAPER_DIMS)
-    rng = np.random.default_rng(8)
-    inputs = {rows: (rng.normal(size=(rows, PAPER_DIMS[0])), rng.normal(size=(2, rows, PAPER_DIMS[-1])))
-              for rows in (64, 96)}
-    want = {rows: _member_bits(nets, x, g) for rows, (x, g) in inputs.items()}
-    stacks = [Mlp.stack(nets)[0] for _ in range(2)]
-    assert all(stacked._threaded(rows) for stacked in stacks for rows in inputs)
+def test_laned_updates_at_the_papers_widths_equal_serial_updates_bit_for_bit(monkeypatch):
+    runs = {}
+    lanes_run = agent._Lanes.run
+    for gate in (agent.THREADED_WORK, OUT_OF_REACH):
+        calls = []
+
+        def counted(lanes, here, there):
+            calls.append(1)
+            return lanes_run(lanes, here, there)
+
+        monkeypatch.setattr(agent, "THREADED_WORK", gate)
+        monkeypatch.setattr(agent._Lanes, "run", counted)
+        trainer = _trainer(config=PAPER_SAC)
+        assert trainer.nets.actor.dims == (13, *SacConfig().widths, 2)
+        _fill_memory(trainer, 160)
+        runs[gate] = _update_bits(trainer, 6)
+        # phase 1, phase 2, three layers of the actor's backward, its Adam step
+        assert len(calls) == (0 if gate == OUT_OF_REACH else 6 * 6)
+        monkeypatch.undo()
+    laned, serial = runs.values()
+    assert laned == serial
+
+
+def test_laned_updates_with_fast_thread_switches_equal_serial_updates(monkeypatch):
+    """Two laned trainers, each driven from its own thread, so four threads
+    share the cores, against one trainer's serial updates."""
+    monkeypatch.setattr(agent, "THREADED_WORK", OUT_OF_REACH)
+    trainer = _trainer(config=PAPER_SAC)
+    _fill_memory(trainer, 160)
+    want = _update_bits(trainer, 4)
+    monkeypatch.undo()
+    trainers = [_trainer(config=PAPER_SAC) for _ in range(2)]
     results: list = []
 
-    def drive(stacked):
+    def drive(trainer):
         try:
-            for i in range(30):
-                rows = (64, 96)[i % 2]
-                results.append(_stacked_bits(stacked, *inputs[rows]) == want[rows])
+            _fill_memory(trainer, 160)
+            results.append(_update_bits(trainer, 4) == want)
         except Exception as exc:  # reported by the assertion below
             results.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        drivers = [threading.Thread(target=drive, args=(stacked,)) for stacked in stacks]
+        drivers = [threading.Thread(target=drive, args=(trainer,)) for trainer in trainers]
         for driver in drivers:
             driver.start()
         for driver in drivers:
@@ -398,49 +420,44 @@ def test_threaded_passes_with_fast_thread_switches_equal_the_members_own_passes(
     finally:
         sys.setswitchinterval(interval)
     assert not any(driver.is_alive() for driver in drivers)
-    assert results == [True] * 60
+    assert results == [True, True]
 
 
-def test_a_threaded_pass_raises_the_serial_error_after_its_helper_has_finished(monkeypatch):
-    nets = _twins(np.float32, PAPER_DIMS)
-    stacked, _ = Mlp.stack(nets)
-    rng = np.random.default_rng(9)
-    x, grad_out = rng.normal(size=(1024, PAPER_DIMS[0])), rng.normal(size=(2, 1024, PAPER_DIMS[-1]))
-    wide = rng.normal(size=(1024, PAPER_DIMS[0] + 1))
-    assert stacked._threaded(1024)
-    with pytest.raises(ValueError) as serial:
-        nets[0].forward_cached(wide)
-    caller, helper_done, real_forward = threading.get_ident(), [], nets_module._forward
+def test_a_lanes_error_is_raised_after_its_helper_has_finished():
+    lanes = agent._Lanes()
+    helper_done = []
 
-    def slow_on_the_helper(*args):
-        if threading.get_ident() == caller:
-            return real_forward(*args)
+    def slow_failure():
         try:
             time.sleep(0.05)
-            return real_forward(*args)
+            raise RuntimeError("the helper's")
         finally:
             helper_done.append(True)
 
-    monkeypatch.setattr(nets_module, "_forward", slow_on_the_helper)
-    with pytest.raises(ValueError) as threaded:
-        stacked.forward_cached(wide)
+    def failure():
+        raise ValueError("the caller's")
+
+    with pytest.raises(ValueError, match="the caller's"):
+        lanes.run(failure, slow_failure)
     assert helper_done == [True]
-    assert str(threaded.value) == str(serial.value)
-    monkeypatch.undo()
-    assert _stacked_bits(stacked, x, grad_out) == _member_bits(nets, x, grad_out)
+    with pytest.raises(RuntimeError, match="the helper's"):
+        lanes.run(lambda: None, slow_failure)
+    assert helper_done == [True, True]
+    done = []
+    lanes.run(partial(done.append, 0), partial(done.append, 1))
+    assert sorted(done) == [0, 1]
 
 
 def test_a_trainers_one_helper_thread_ends_when_the_trainer_is_collected():
-    config = SacConfig(batch_size=128, memory_capacity=200, warmup_transitions=16)
     before = set(threading.enumerate())
     baseline = len(before)
-    trainer = _trainer(config=config)
-    assert config.widths == SacConfig().widths and trainer.nets.critics._threaded(128)
+    trainer = _trainer(config=PAPER_SAC)
+    assert PAPER_SAC.batch_size * trainer.nets.actor.flat.size > agent.THREADED_WORK
     _fill_memory(trainer, 128)
-    # no thread starts before the first threaded pass
+    # no thread starts before the first laned update
     assert not set(threading.enumerate()) - before
-    trainer.update()
-    # the critics and their targets share one helper
+    for _ in range(2):
+        trainer.update()
     helpers = set(threading.enumerate()) - before
     assert len(helpers) == 1
     del trainer

@@ -95,8 +95,8 @@ def test_channel_check_with_an_override_that_overflows_a_moment_gives_exit_2(
 def test_importing_the_cli_loads_no_scipy_and_channel_check_still_passes():
     """Only channel-check and ``channel.pdf`` use scipy, and import it when
     called; a fresh interpreter shows what importing the CLI loads.  Nor
-    does importing start a thread: a stacked net starts its helper at its
-    first threaded pass."""
+    does importing start a thread: a trainer starts its helper at its
+    first laned update."""
     src = Path(cli.__file__).resolve().parents[1]
     script = ("import sys, threading; import semsample.cli as cli; "
               "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
@@ -268,8 +268,36 @@ def test_each_manifest_records_its_phase_times_the_blas_and_the_cpu_count(tmp_pa
         assert sorted(manifest["phase_s"]) == phases
         assert all(0 <= s <= manifest["wall_clock_s"] for s in manifest["phase_s"].values())
         assert sum(manifest["phase_s"].values()) <= manifest["wall_clock_s"]
+        threads = manifest["blas"].pop("threads")
         assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert isinstance(threads, int) and threads >= 1
         assert manifest["cpu_count"] == os.cpu_count()
+
+
+def test_the_manifest_records_the_blas_thread_count_the_run_had(tmp_path):
+    """The thread count is read from the loaded OpenBLAS, so a fresh
+    interpreter started with one BLAS thread records 1."""
+    config = _write(tmp_path / "config.json", TINY)
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import sys; import semsample.cli as cli; "
+              f"sys.exit(cli.main(['train', '--config', {config!r}, '--episodes', '1', "
+              f"'--out', {str(tmp_path / 'train')!r}]))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert json.loads((tmp_path / "train" / "manifest.json").read_text())["blas"]["threads"] == 1
+
+
+@pytest.mark.parametrize("level", ["bogus", "", "10"])
+def test_a_log_level_that_logging_does_not_know_gives_exit_2(capsys, monkeypatch, level):
+    monkeypatch.setenv("SEMSAMPLE_LOG", level)
+    assert cli.main(["channel-check"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: SEMSAMPLE_LOG must name a logging level such as WARNING or DEBUG, "
+                            f"got {level!r}\n")
+    assert captured.out == ""
 
 
 def test_fixed_seed_runs_write_byte_identical_outputs(tmp_path):

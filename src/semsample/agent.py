@@ -8,12 +8,12 @@ two-term sum evaluated exactly; no sampling estimator is involved.  All
 gradients are analytic (see :mod:`semsample.nets`) and are checked against
 finite differences in the test suite.
 
-At the paper's widths and batch the trainer runs each update on two
-threads, its own and one helper thread that it owns: the twin critics'
-passes and steps side by side, the actor's two forward passes beside them,
-and each layer of the actor's backward as its weight gradient beside the
-delta it passes down (see :class:`Trainer`).  A thread runs whole passes,
-never a part of a pass's rows, so every bit is the serial update's.
+Each update runs one schedule, on the calling thread or, at the paper's
+widths and batch, on two lanes with a helper thread the trainer owns: the
+twin critics' passes and steps side by side, the actor's two forward
+passes beside them, and each layer of the actor's backward as its weight
+gradient beside the delta it passes down (see :class:`Trainer`).  No pass
+is split by rows, so two lanes give the bits of one.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ MAX_PACKET_BITS = MAX_VEHICLES * RECORD_BITS  # framing cap times record size
 # version 2 packs each net's weights as raw little-endian bytes in base64
 SNAPSHOT_VERSION = 2
 
-# Trainer.update runs on two threads when its work per net, batch rows x
+# Trainer.update runs on two lanes when its work per net, batch rows x
 # parameters of one net, is above this.  Handing work to the helper thread
 # and waiting for it costs 0.15-0.2 ms (2-core x86-64 VM, 1 BLAS thread),
 # so a two-member pass runs faster split only from about 5 M: at 32-32
@@ -382,7 +382,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 # caller has already run on the same weights: a ``policy`` is the
 # (logits, cache) pair of ``nets.actor.forward_cached`` on the rows the
 # function would pass, and a ``backward(cache, grad_out)`` takes the place
-# of the net's own ``backward``.  Trainer.update runs them on two threads.
+# of the net's own ``backward``.  Trainer.update runs them on its lanes.
 
 def _policy_terms(nets: SacNetworks, states: np.ndarray, policy=None):
     logits, cache = nets.actor.forward_cached(states) if policy is None else policy
@@ -503,17 +503,31 @@ class TrainingDiverged(RuntimeError):
 
 
 class _Lanes:
-    """The calling thread and one helper thread, a one-worker executor whose
-    thread starts at the first :meth:`run` and ends when the lanes are
-    collected."""
+    """One lane, the calling thread, or two: the calling thread and one
+    helper thread, a one-worker executor whose thread starts at the first
+    :meth:`run` and ends when the lanes are collected.  ``members`` and
+    :meth:`parts` hold each lane's members of a stack of two and parts of a
+    flat vector: on two lanes one member and one half each; on one, lane 0
+    has the whole stack, ``slice(None)``, and the whole vector, lane 1 none."""
 
-    def __init__(self):
-        self._helper = ThreadPoolExecutor(1, thread_name_prefix="semsample-lane")
+    def __init__(self, two: bool):
+        self._helper = ThreadPoolExecutor(1, thread_name_prefix="semsample-lane") if two else None
+        self.members = ((0,), (1,)) if two else ((slice(None),), ())
+
+    def parts(self, size: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+        if self._helper is None:
+            return (slice(None),), ()
+        return (slice(None, size // 2),), (slice(size // 2, None),)
 
     def run(self, here: Callable[[], object], there: Callable[[], object]) -> None:
         """``here()`` on the calling thread while the helper runs
-        ``there()``.  Waits for the helper before returning or raising, and
-        raises the calling thread's exception first."""
+        ``there()``; one lane runs them in turn.  Waits for the helper
+        before returning or raising, and raises the calling thread's
+        exception first."""
+        if self._helper is None:
+            here()
+            there()
+            return
         helper = self._helper.submit(there)
         try:
             here()
@@ -522,8 +536,9 @@ class _Lanes:
         helper.result()
 
 
-def _member(net: Mlp, k: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The weights and biases of member ``k`` of a stacked net, as views."""
+def _member(net: Mlp, k: int | slice) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The weights and biases of member ``k`` of a stacked net, or of all
+    of them for ``slice(None)``, as views."""
     return [w[k] for w in net.weights], [b[k] for b in net.biases]
 
 
@@ -542,17 +557,18 @@ class Trainer:
     ``scene_refresh_every`` episodes; within a block every episode replays
     the same initial scene.
 
-    When a batch's work per net, rows x parameters, is above
-    :data:`THREADED_WORK`, as at the paper's widths and batch, an update
-    runs on two lanes: the calling thread and the trainer's one helper
-    thread, which starts at the first such update and ends when the
-    trainer is collected.  Each lane runs only work whose result the other
-    lane does not read, in three phases that each end when both lanes have:
+    An update runs one schedule on one lane or two.  When a batch's work
+    per net, rows x parameters, is above :data:`THREADED_WORK`, as at the
+    paper's widths and batch, the lanes are the calling thread and the
+    trainer's one helper thread, which starts at the first update and ends
+    when the trainer is collected; below it, the calling thread alone.
+    Each lane runs only work whose result the other lane does not read, in
+    three phases that each end when both lanes have:
 
-    1. Lane k runs target critic k on the next states and critic k on the
-       states, keeping its cache.  Lane 0 first runs the actor on the next
-       states, in critic 0's pass buffers, and lane 1 then runs it on the
-       states.
+    1. Each lane first runs the actor, lane 0 on the next states, in
+       critic 0's pass buffers, and lane 1 on the states.  Then lane k
+       runs target critic k on the next states and critic k on the states,
+       keeping its cache.
     2. After the critic loss, lane k runs critic k's backward into its half
        of the flat gradient, its half of the critics' Adam step and of the
        soft update, and critic k's forward on the states after its step.
@@ -563,11 +579,12 @@ class Trainer:
        reads stay whole; then each lane takes half of the actor's Adam
        step.
 
-    A lane makes the BLAS calls of the serial pass it stands in for and
-    steps whole elements, so the bits are the serial update's; no pass is
-    split by rows (see :mod:`semsample.nets`).  The lanes call only numpy
-    and private functions.  Below the gate an update makes its calls in
-    order on the calling thread.
+    One lane runs lane 0's work and then lane 1's, on the whole stack for a
+    member and on a whole flat vector for a half.  A member's pass makes
+    the BLAS calls of its part of the stacked pass, and a step is
+    elementwise, so two lanes give the bits of one; no pass is split by
+    rows (see :mod:`semsample.nets`).  The lanes call only numpy and
+    private functions.
     """
 
     def __init__(
@@ -590,7 +607,7 @@ class Trainer:
         self.memory = ReplayMemory(
             config.memory_capacity, env.state_dim, np.random.default_rng(replay_ss)
         )
-        self._lanes = _Lanes()
+        self._lanes = _Lanes(config.batch_size * self.nets.actor.flat.size > THREADED_WORK)
         self._build_optimizers()
         self.gradient_steps = 0
         self.episodes_trained = 0
@@ -604,12 +621,10 @@ class Trainer:
         # the log temperature stays a float on the networks; its optimizer
         # steps a 0-d copy of it
         self.opt_temperature = Adam([np.zeros(())], cfg.temperature_lr)
-        # the gradient vector each net's step gathers its layers' gradients
-        # into, and its layers as views of it, which a laned backward fills
-        self._flat_grads = {self.opt_critics: np.empty_like(self.nets.critics.flat),
-                            self.opt_actor: np.empty_like(self.nets.actor.flat)}
-        self._grads = {net: _grad_views(net, self._flat_grads[opt])
-                       for net, opt in ((self.nets.critics, self.opt_critics), (self.nets.actor, self.opt_actor))}
+        # the gradient vector of each net's step, and its layers as views of
+        # it, which the backward fills
+        self._flat_grads = {net: np.empty_like(net.flat) for net in (self.nets.critics, self.nets.actor)}
+        self._grads = {net: _grad_views(net, flat) for net, flat in self._flat_grads.items()}
 
     def load_networks(self, nets: SacNetworks) -> None:
         """Adopt previously trained networks (optimizer state starts fresh)."""
@@ -623,23 +638,12 @@ class Trainer:
     def update(self) -> tuple[float, float, float]:
         """One gradient step on a sampled batch; returns the three losses."""
         cfg = self.config
-        dtype = np.dtype(cfg.dtype)
-        batch = self.memory.sample(cfg.batch_size, dtype)
-        laned = cfg.batch_size * self.nets.actor.flat.size > THREADED_WORK
-        if laned:
-            c_loss, a_loss = self._critics_and_actor_on_lanes(batch)
-        else:
-            c_loss, g1, g2 = critic_loss_and_grads(self.nets, batch)
-            self._apply(self.opt_critics, self.nets.critics, g1 + g2)
-            del g1, g2  # fresh arrays: free them before the actor's pass makes its own
-            a_loss, ga = actor_loss_and_grads(self.nets, batch)
-            self._apply(self.opt_actor, self.nets.actor, ga)
+        batch = self.memory.sample(cfg.batch_size, np.dtype(cfg.dtype))
+        c_loss, a_loss = self._critics_and_actor_on_lanes(batch)
         t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy)
         log_t = np.array(self.nets.log_temperature)
         self.opt_temperature.step([log_t], [np.array(g_log_t)])
         self.nets.log_temperature = float(log_t)
-        if not laned:  # the lanes ran it with the critics' step
-            soft_update(self.nets.target_critics, self.nets.critics, cfg.tau)
         self.gradient_steps += 1
         if not (math.isfinite(c_loss) and math.isfinite(a_loss) and math.isfinite(t_loss)):
             raise TrainingDiverged(
@@ -649,9 +653,9 @@ class Trainer:
         return c_loss, a_loss, t_loss
 
     def _critics_and_actor_on_lanes(self, batch: Batch) -> tuple[float, float]:
-        """Phases 1-3 of a laned update (see the class docstring): the
-        critics' and the actor's losses and steps, and the soft update.
-        Returns the critic and actor losses."""
+        """Phases 1-3 of an update (see the class docstring): the critics'
+        and the actor's losses and steps, and the soft update.  Returns the
+        critic and actor losses."""
         nets, lanes, tau = self.nets, self._lanes, self.config.tau
         actor, critics, targets = nets.actor, nets.critics, nets.target_critics
         states, next_states = batch.states, batch.next_states
@@ -662,37 +666,34 @@ class Trainer:
         # fits: the actor's pass on the next states runs in it before target
         # critic 0's pass does, and the actor's deltas go into it in phase 3
         spare = [h[0] for h in hidden]
-        actor_hidden = actor._buffers_for("act", rows)
         q_next, q, q_after = (np.empty((critics.n_stacked, rows, critics.dims[-1]), critics.dtype)
                               for _ in range(3))
         policies = [None, None]  # the actor on the next states, on the states
 
-        def forwards(k: int) -> None:
-            if k == 0:
-                policies[0] = _forward(next_states, actor.weights, actor.biases, spare)
-            _forward(next_states, *_member(targets, k), [h[k] for h in hidden], q_next[k])
-            _forward(states, *_member(critics, k), [h[k] for h in hidden], q[k])
-            if k == 1:
-                policies[1] = _forward(states, actor.weights, actor.biases, actor_hidden)
+        def forwards(lane: int, x: np.ndarray, actor_hidden: list) -> None:
+            policies[lane] = _forward(x, actor.weights, actor.biases, actor_hidden)
+            for k in lanes.members[lane]:
+                _forward(next_states, *_member(targets, k), [h[k] for h in hidden], q_next[k])
+                _forward(states, *_member(critics, k), [h[k] for h in hidden], q[k])
 
-        lanes.run(partial(forwards, 0), partial(forwards, 1))
+        lanes.run(partial(forwards, 0, next_states, spare),
+                  partial(forwards, 1, states, actor._buffers_for("act", rows)))
 
-        critic_opt, grads = self.opt_critics, self._grads[critics]
-        critic_grad = self._flat_grads[critic_opt]
-        size = critics.flat.size // critics.n_stacked
+        critic_opt, grads, critic_grad = self.opt_critics, self._grads[critics], self._flat_grads[critics]
+        critic_parts = lanes.parts(critics.flat.size)  # member k's half on two lanes
 
-        def critic_step(k: int, bias: tuple, cache: list, d_out: np.ndarray) -> None:
-            weights, biases = _member(critics, k)
-            _backward([cache[0], *(c[k] for c in cache[1:])], d_out[k], weights, [m[k] for m in masks],
-                      [(dw[k], db[k]) for dw, db in grads])
-            part = slice(k * size, (k + 1) * size)
-            critic_opt._step_part(bias, 0, critics.flat, critic_grad, part)
-            _blend(targets.flat[part], critics.flat[part], tau)
-            _forward(states, weights, biases, [h[k] for h in hidden], q_after[k])
+        def critic_steps(lane: int, bias: tuple, cache: list, d_out: np.ndarray) -> None:
+            for k, part in zip(lanes.members[lane], critic_parts[lane]):
+                weights, biases = _member(critics, k)
+                _backward([cache[0], *(c[k] for c in cache[1:])], d_out[k], weights, [m[k] for m in masks],
+                          [(dw[k], db[k]) for dw, db in grads])
+                critic_opt._step_part(bias, 0, critics.flat, critic_grad, part)
+                _blend(targets.flat[part], critics.flat[part], tau)
+                _forward(states, weights, biases, [h[k] for h in hidden], q_after[k])
 
         def critics_backward_and_step(cache: list, d_out: np.ndarray) -> list:
             bias = critic_opt._count_step()
-            lanes.run(partial(critic_step, 0, bias, cache, d_out), partial(critic_step, 1, bias, cache, d_out))
+            lanes.run(partial(critic_steps, 0, bias, cache, d_out), partial(critic_steps, 1, bias, cache, d_out))
             return grads
 
         c_loss, _, _ = critic_loss_and_grads(nets, batch, next_policy=policies[0], next_q=q_next,
@@ -712,18 +713,15 @@ class Trainer:
             return actor_grads
 
         a_loss, _ = actor_loss_and_grads(nets, batch, policy=policies[1], q=q_after, backward=actor_backward)
-        actor_opt = self.opt_actor
-        step, bias, half = actor_opt._step_part, actor_opt._count_step(), actor.flat.size // 2
-        actor_grad = self._flat_grads[actor_opt]
-        lanes.run(partial(step, bias, 0, actor.flat, actor_grad, slice(None, half)),
-                  partial(step, bias, 0, actor.flat, actor_grad, slice(half, None)))
-        return c_loss, a_loss
+        actor_opt, actor_grad = self.opt_actor, self._flat_grads[actor]
 
-    def _apply(self, opt: Adam, net: Mlp, grads) -> None:
-        """One Adam step on ``net.flat`` with the [(dW, db), ...] of backward,
-        the members' lists end to end for a stacked net."""
-        flat_grad = np.concatenate([np.ravel(a) for pair in grads for a in pair], out=self._flat_grads[opt])
-        opt.step([net.flat], [flat_grad])
+        def actor_steps(bias: tuple, parts: tuple) -> None:
+            for part in parts:
+                actor_opt._step_part(bias, 0, actor.flat, actor_grad, part)
+
+        bias = actor_opt._count_step()
+        lanes.run(*(partial(actor_steps, bias, parts) for parts in lanes.parts(actor.flat.size)))
+        return c_loss, a_loss
 
     def _decide(self, features: np.ndarray, t: int) -> int:
         return select_action(features, self.nets, "stochastic", self.action_rng)

@@ -13,17 +13,16 @@ Its ``flat`` vector is the members' vectors end to end, ``[q1.flat |
 q2.flat]`` for two, and the members are returned as views into it, so Adam
 and the soft update step all of them in one pass.
 
-Every pass here is serial and starts no thread.  At the paper's widths
-the trainer runs the parts of a SAC update that do not depend on each
-other on two threads, its own and a helper thread that it owns (see
-:class:`semsample.agent.Trainer`), through this module's private
-functions: :func:`_forward` of one member or of the actor,
-:func:`_backward` of one member, one layer's gradients
-(:func:`_layer_grads`) beside the delta it passes down
-(:func:`_layer_delta`), and :meth:`Adam._step_part` on part of a flat
-vector.  Each makes the same BLAS calls as the serial pass it stands in
-for, so the bits are the serial pass's.  No pass is split by rows or
-columns: a matrix product cut at a row or column boundary can round
+Every pass here is serial and starts no thread.  The trainer runs each
+SAC update on one lane, its own thread, or at the paper's widths on two,
+with a helper thread that it owns (see :class:`semsample.agent.Trainer`),
+through this module's private functions: :func:`_forward` and
+:func:`_backward` of the actor, of a stacked net or of one member, one
+layer's gradients (:func:`_layer_grads`) beside the delta it passes down
+(:func:`_layer_delta`), and :meth:`Adam._step_part` on a flat vector or
+part of it.  A member's pass makes the BLAS calls of its part of the
+stacked pass, so two lanes give the bits of one.  No pass is split by
+rows or columns: a matrix product cut at a row or column boundary can round
 differently from the whole one (cuts at 333 or 17 of 1,024 rows changed
 bits at the paper's widths), while Adam's step is elementwise, so its
 parts give the bits of the whole.  Code that runs off the calling thread

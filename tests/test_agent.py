@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from functools import partial
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -369,31 +369,37 @@ def _update_bits(trainer, updates):
 
 
 def test_laned_updates_at_the_papers_widths_equal_serial_updates_bit_for_bit(monkeypatch):
-    runs = {}
-    lanes_run = agent._Lanes.run
-    for gate in (agent.THREADED_WORK, OUT_OF_REACH):
-        calls = []
+    """Two lanes against one: at the paper's widths above the gate, and at
+    32-32 widths in float32 and float64 with the gate forced to 0."""
+    submit = ThreadPoolExecutor.submit
+    for config, gate in ((PAPER_SAC, agent.THREADED_WORK), (SMALL_SAC, 0),
+                         (dataclasses.replace(SMALL_SAC, dtype="float64"), 0)):
+        runs = {}
+        for threaded_work in (gate, OUT_OF_REACH):
+            handoffs = []
 
-        def counted(lanes, here, there):
-            calls.append(1)
-            return lanes_run(lanes, here, there)
+            def counted(executor, *args, **kwargs):
+                handoffs.append(1)
+                return submit(executor, *args, **kwargs)
 
-        monkeypatch.setattr(agent, "THREADED_WORK", gate)
-        monkeypatch.setattr(agent._Lanes, "run", counted)
-        trainer = _trainer(config=PAPER_SAC)
-        assert trainer.nets.actor.dims == (13, *SacConfig().widths, 2)
-        _fill_memory(trainer, 160)
-        runs[gate] = _update_bits(trainer, 6)
-        # phase 1, phase 2, three layers of the actor's backward, its Adam step
-        assert len(calls) == (0 if gate == OUT_OF_REACH else 6 * 6)
-        monkeypatch.undo()
-    laned, serial = runs.values()
-    assert laned == serial
+            monkeypatch.setattr(agent, "THREADED_WORK", threaded_work)
+            monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+            trainer = _trainer(config=config)
+            assert trainer.nets.actor.dims == (13, *config.widths, 2)
+            _fill_memory(trainer, 160)
+            runs[threaded_work] = _update_bits(trainer, 6)
+            # phase 1, phase 2, each layer but the first of the actor's
+            # backward, its Adam step: 6 at the paper's widths
+            per_update = trainer.nets.actor.n_layers + 2
+            assert len(handoffs) == (0 if threaded_work == OUT_OF_REACH else per_update * 6)
+            monkeypatch.undo()
+        laned, serial = runs.values()
+        assert laned == serial
 
 
 def test_laned_updates_with_fast_thread_switches_equal_serial_updates(monkeypatch):
     """Two laned trainers, each driven from its own thread, so four threads
-    share the cores, against one trainer's serial updates."""
+    share the cores, against one trainer's updates on one lane."""
     monkeypatch.setattr(agent, "THREADED_WORK", OUT_OF_REACH)
     trainer = _trainer(config=PAPER_SAC)
     _fill_memory(trainer, 160)
@@ -424,48 +430,61 @@ def test_laned_updates_with_fast_thread_switches_equal_serial_updates(monkeypatc
 
 
 def test_a_lanes_error_is_raised_after_its_helper_has_finished():
-    lanes = agent._Lanes()
-    helper_done = []
+    """Two lanes raise the calling thread's error after the helper has
+    finished; one lane runs ``here`` and then ``there`` on the calling
+    thread, so ``here``'s error ends the run."""
+    for two in (True, False):
+        lanes = agent._Lanes(two)
+        helper_done = []
 
-    def slow_failure():
-        try:
-            time.sleep(0.05)
-            raise RuntimeError("the helper's")
-        finally:
-            helper_done.append(True)
+        def slow_failure():
+            try:
+                time.sleep(0.05)
+                raise RuntimeError("the helper's")
+            finally:
+                helper_done.append(True)
 
-    def failure():
-        raise ValueError("the caller's")
+        def failure():
+            raise ValueError("the caller's")
 
-    with pytest.raises(ValueError, match="the caller's"):
-        lanes.run(failure, slow_failure)
-    assert helper_done == [True]
-    with pytest.raises(RuntimeError, match="the helper's"):
-        lanes.run(lambda: None, slow_failure)
-    assert helper_done == [True, True]
-    done = []
-    lanes.run(partial(done.append, 0), partial(done.append, 1))
-    assert sorted(done) == [0, 1]
+        with pytest.raises(ValueError, match="the caller's"):
+            lanes.run(failure, slow_failure)
+        assert helper_done == ([True] if two else [])
+        with pytest.raises(RuntimeError, match="the helper's"):
+            lanes.run(lambda: None, slow_failure)
+        assert helper_done == ([True, True] if two else [True])
+        done = []
+        lanes.run(lambda: done.append((0, threading.current_thread())),
+                  lambda: done.append((1, threading.current_thread())))
+        if two:
+            assert sorted(k for k, _ in done) == [0, 1]
+            assert dict(done)[0] is threading.current_thread() is not dict(done)[1]
+        else:
+            assert done == [(0, threading.current_thread()), (1, threading.current_thread())]
 
 
 def test_a_trainers_one_helper_thread_ends_when_the_trainer_is_collected():
-    before = set(threading.enumerate())
-    baseline = len(before)
-    trainer = _trainer(config=PAPER_SAC)
-    assert PAPER_SAC.batch_size * trainer.nets.actor.flat.size > agent.THREADED_WORK
-    _fill_memory(trainer, 128)
-    # no thread starts before the first laned update
-    assert not set(threading.enumerate()) - before
-    for _ in range(2):
-        trainer.update()
-    helpers = set(threading.enumerate()) - before
-    assert len(helpers) == 1
-    del trainer
-    gc.collect()
-    for helper in helpers:
-        helper.join(timeout=10)
-        assert not helper.is_alive()
-    assert threading.active_count() <= baseline
+    """Above the gate a trainer starts one helper thread at its first
+    update; below it, none."""
+    for config, n_helpers in ((PAPER_SAC, 1), (SMALL_SAC, 0)):
+        before = set(threading.enumerate())
+        baseline = len(before)
+        trainer = _trainer(config=config)
+        laned = config.batch_size * trainer.nets.actor.flat.size > agent.THREADED_WORK
+        assert laned == bool(n_helpers)
+        _fill_memory(trainer, 128)
+        # no thread starts before the first update
+        assert not set(threading.enumerate()) - before
+        for _ in range(2):
+            trainer.update()
+        helpers = set(threading.enumerate()) - before
+        assert len(helpers) == n_helpers
+        del trainer
+        gc.collect()
+        for helper in helpers:
+            helper.join(timeout=10)
+            assert not helper.is_alive()
+        assert threading.active_count() <= baseline
 
 
 def test_stacked_net_is_its_members_flats_end_to_end():
@@ -590,8 +609,9 @@ def test_a_second_loss_call_leaves_the_first_calls_gradients_unchanged():
 
 def test_a_warm_update_allocates_a_small_transient_peak():
     """At widths 64-64 and batch 256 on the default 153 features, the
-    fresh arrays of one update are the batch (313 KiB) and the gradients
-    (110 KiB); the passes run in the nets' buffers."""
+    fresh arrays of one update are mainly the batch (313 KiB); the passes
+    run in the nets' buffers and the backward writes the gradients into
+    the trainer's."""
     clip = generate_traffic(TrafficGenConfig(spawn_rate=0.3, seed=4), 80, "small")
     episode = EpisodeConfig(steps=30, predictor=PredictorConfig(grid_width=24, grid_height=16),
                             energy_scale=ENERGY_SCALE, seed=2)

@@ -231,9 +231,9 @@ def test_a_diverged_training_run_leaves_its_curves_and_a_manifest(tmp_path, caps
     # 12 - 8 + 1 = 5 of them and the 6th critic loss is episode 1's first
     real, calls = agent.critic_loss_and_grads, []
 
-    def nan_from_the_6th_call(nets, batch):
+    def nan_from_the_6th_call(nets, batch, **passes):
         calls.append(None)
-        loss, g1, g2 = real(nets, batch)
+        loss, g1, g2 = real(nets, batch, **passes)
         return (math.nan if len(calls) >= 6 else loss), g1, g2
 
     monkeypatch.setattr(agent, "critic_loss_and_grads", nan_from_the_6th_call)
@@ -257,7 +257,7 @@ def test_each_manifest_records_its_phase_times_the_blas_and_the_cpu_count(tmp_pa
     assert cli.main(["evaluate", "--config", config, "--snapshot", str(train / "snapshot.json"),
                      "--out", str(evaluation)]) == cli.EXIT_OK
     real = agent.critic_loss_and_grads
-    monkeypatch.setattr(agent, "critic_loss_and_grads", lambda nets, batch: (math.nan, *real(nets, batch)[1:]))
+    monkeypatch.setattr(agent, "critic_loss_and_grads", lambda nets, batch, **passes: (math.nan, *real(nets, batch, **passes)[1:]))
     assert cli.main(["train", "--config", config, "--episodes", "1", "--out", str(diverged)]) == cli.EXIT_RUNTIME
     capsys.readouterr()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -8,6 +8,12 @@ two-term sum evaluated exactly; no sampling estimator is involved.  All
 gradients are analytic (see :mod:`semsample.nets`) and are checked against
 finite differences in the test suite.
 
+Every loss of an update reads the parameters as they were when the update
+began (Haarnoja et al. 2018): the actor loss takes the critics' values from
+the critic loss's own pass, and the temperature loss takes log pi from the
+actor loss's pass (Christodoulou 2019), so an update runs each net forward
+once per batch it reads, six passes in all.
+
 Each update runs one schedule, on the calling thread or, at the paper's
 widths and batch, on two lanes with a helper thread the trainer owns: the
 twin critics' passes and steps side by side, the actor's two forward
@@ -431,7 +437,8 @@ def actor_loss_and_grads(nets: SacNetworks, batch: Batch, *, policy=None, q=None
                          backward: Optional[Callable] = None):
     """Expected (temperature * log pi - min Q) under the policy, with the
     expectation over the two actions computed exactly.  Critics are constant.
-    ``q`` is the critics' output on the states.
+    ``q`` is the critics' output on the states; :class:`Trainer` passes the
+    critic loss's own, from before the critics' step.
     """
     probs, logp, cache = _policy_terms(nets, batch.states, policy)
     q1, q2 = nets.critics.forward(batch.states) if q is None else q
@@ -446,13 +453,15 @@ def actor_loss_and_grads(nets: SacNetworks, batch: Batch, *, policy=None, q=None
     return loss, grads
 
 
-def temperature_loss_and_grad(nets: SacNetworks, batch: Batch, target_entropy: float):
+def temperature_loss_and_grad(nets: SacNetworks, batch: Batch, target_entropy: float, *, policy=None):
     """Temperature loss T * (H(pi) - target H), pi treated as constant.
 
     Returns (loss, gradient w.r.t. log temperature); descending on the log
-    keeps the temperature positive.
+    keeps the temperature positive.  ``policy`` is the actor's pass on the
+    states; :class:`Trainer` passes the actor loss's own, from before the
+    actor's step.
     """
-    probs, logp, _ = _policy_terms(nets, batch.states)
+    probs, logp, _ = _policy_terms(nets, batch.states, policy)
     entropy = float(-(probs * logp).sum(axis=1).mean())
     theta = nets.temperature
     loss = theta * (entropy - target_entropy)
@@ -507,17 +516,19 @@ class _Lanes:
     helper thread, a one-worker executor whose thread starts at the first
     :meth:`run` and ends when the lanes are collected.  ``members`` and
     :meth:`parts` hold each lane's members of a stack of two and parts of a
-    flat vector: on two lanes one member and one half each; on one, lane 0
+    flat vector: on two lanes one member and one part each; on one, lane 0
     has the whole stack, ``slice(None)``, and the whole vector, lane 1 none."""
 
     def __init__(self, two: bool):
         self._helper = ThreadPoolExecutor(1, thread_name_prefix="semsample-lane") if two else None
         self.members = ((0,), (1,)) if two else ((slice(None),), ())
 
-    def parts(self, size: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    def parts(self, cut: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+        """Each lane's parts of a flat vector: on two lanes the entries
+        before ``cut`` and those from it on."""
         if self._helper is None:
             return (slice(None),), ()
-        return (slice(None, size // 2),), (slice(size // 2, None),)
+        return (slice(None, cut),), (slice(cut, None),)
 
     def run(self, here: Callable[[], object], there: Callable[[], object]) -> None:
         """``here()`` on the calling thread while the helper runs
@@ -562,8 +573,10 @@ class Trainer:
     paper's widths and batch, the lanes are the calling thread and the
     trainer's one helper thread, which starts at the first update and ends
     when the trainer is collected; below it, the calling thread alone.
-    Each lane runs only work whose result the other lane does not read, in
-    three phases that each end when both lanes have:
+    Every loss reads the parameters as they were when the update began, so
+    each net runs forward once per batch it reads.  Each lane runs only
+    work whose result the other lane does not read, in three phases that
+    each end when both lanes have:
 
     1. Each lane first runs the actor, lane 0 on the next states, in
        critic 0's pass buffers, and lane 1 on the states.  Then lane k
@@ -571,16 +584,20 @@ class Trainer:
        keeping its cache.
     2. After the critic loss, lane k runs critic k's backward into its half
        of the flat gradient, its half of the critics' Adam step and of the
-       soft update, and critic k's forward on the states after its step.
-       Nothing after the soft update reads the targets.
-    3. After the actor loss, each layer of the actor's backward computes
-       dW and db on one lane while the other passes the delta down, into
-       critic 0's pass buffers, free by then, so that the activations dW
-       reads stay whole; then each lane takes half of the actor's Adam
-       step.
+       soft update.  Nothing after the soft update reads the targets, and
+       the actor loss takes the critics' values from phase 1.
+    3. After the actor loss, each of the actor's layers above the first
+       computes dW and db on one lane while the other passes the delta
+       down, into critic 0's pass buffers, free by then, so that the
+       activations dW reads stay whole.  Then lane 0 computes the first
+       layer's dW and db and steps that layer's entries of the actor's
+       Adam step while lane 1 steps the rest.
+
+    The temperature loss then takes the actor's pass on the states from
+    phase 1.
 
     One lane runs lane 0's work and then lane 1's, on the whole stack for a
-    member and on a whole flat vector for a half.  A member's pass makes
+    member and on a whole flat vector for a part.  A member's pass makes
     the BLAS calls of its part of the stacked pass, and a step is
     elementwise, so two lanes give the bits of one; no pass is split by
     rows (see :mod:`semsample.nets`).  The lanes call only numpy and
@@ -639,8 +656,8 @@ class Trainer:
         """One gradient step on a sampled batch; returns the three losses."""
         cfg = self.config
         batch = self.memory.sample(cfg.batch_size, np.dtype(cfg.dtype))
-        c_loss, a_loss = self._critics_and_actor_on_lanes(batch)
-        t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy)
+        c_loss, a_loss, policy = self._critics_and_actor_on_lanes(batch)
+        t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy, policy=policy)
         log_t = np.array(self.nets.log_temperature)
         self.opt_temperature.step([log_t], [np.array(g_log_t)])
         self.nets.log_temperature = float(log_t)
@@ -652,10 +669,10 @@ class Trainer:
             )
         return c_loss, a_loss, t_loss
 
-    def _critics_and_actor_on_lanes(self, batch: Batch) -> tuple[float, float]:
+    def _critics_and_actor_on_lanes(self, batch: Batch) -> tuple[float, float, tuple]:
         """Phases 1-3 of an update (see the class docstring): the critics'
         and the actor's losses and steps, and the soft update.  Returns the
-        critic and actor losses."""
+        critic and actor losses and the actor's pass on the states."""
         nets, lanes, tau = self.nets, self._lanes, self.config.tau
         actor, critics, targets = nets.actor, nets.critics, nets.target_critics
         states, next_states = batch.states, batch.next_states
@@ -666,8 +683,7 @@ class Trainer:
         # fits: the actor's pass on the next states runs in it before target
         # critic 0's pass does, and the actor's deltas go into it in phase 3
         spare = [h[0] for h in hidden]
-        q_next, q, q_after = (np.empty((critics.n_stacked, rows, critics.dims[-1]), critics.dtype)
-                              for _ in range(3))
+        q_next, q = (np.empty((critics.n_stacked, rows, critics.dims[-1]), critics.dtype) for _ in range(2))
         policies = [None, None]  # the actor on the next states, on the states
 
         def forwards(lane: int, x: np.ndarray, actor_hidden: list) -> None:
@@ -680,16 +696,14 @@ class Trainer:
                   partial(forwards, 1, states, actor._buffers_for("act", rows)))
 
         critic_opt, grads, critic_grad = self.opt_critics, self._grads[critics], self._flat_grads[critics]
-        critic_parts = lanes.parts(critics.flat.size)  # member k's half on two lanes
+        critic_parts = lanes.parts(critics.flat.size // 2)  # member k's half on two lanes
 
         def critic_steps(lane: int, bias: tuple, cache: list, d_out: np.ndarray) -> None:
             for k, part in zip(lanes.members[lane], critic_parts[lane]):
-                weights, biases = _member(critics, k)
-                _backward([cache[0], *(c[k] for c in cache[1:])], d_out[k], weights, [m[k] for m in masks],
-                          [(dw[k], db[k]) for dw, db in grads])
+                _backward([cache[0], *(c[k] for c in cache[1:])], d_out[k], _member(critics, k)[0],
+                          [m[k] for m in masks], [(dw[k], db[k]) for dw, db in grads])
                 critic_opt._step_part(bias, 0, critics.flat, critic_grad, part)
                 _blend(targets.flat[part], critics.flat[part], tau)
-                _forward(states, weights, biases, [h[k] for h in hidden], q_after[k])
 
         def critics_backward_and_step(cache: list, d_out: np.ndarray) -> list:
             bias = critic_opt._count_step()
@@ -699,29 +713,33 @@ class Trainer:
         c_loss, _, _ = critic_loss_and_grads(nets, batch, next_policy=policies[0], next_q=q_next,
                                              q=(q, [states, *hidden, q]), backward=critics_backward_and_step)
 
-        actor_grads = self._grads[actor]
+        actor_opt, actor_grads, actor_grad = self.opt_actor, self._grads[actor], self._flat_grads[actor]
         actor_masks = actor._buffers_for("mask", rows)
 
-        def actor_backward(cache: list, grad_out: np.ndarray) -> list:
+        def actor_steps(bias: tuple, parts: tuple) -> None:
+            for part in parts:
+                actor_opt._step_part(bias, 0, actor.flat, actor_grad, part)
+
+        def first_layer_and_steps(cache: list, delta: np.ndarray, bias: tuple, parts: tuple) -> None:
+            _layer_grads(cache[0], delta, *actor_grads[0])
+            actor_steps(bias, parts)
+
+        def actor_backward_and_step(cache: list, grad_out: np.ndarray) -> list:
             delta = np.asarray(grad_out, actor.dtype)
             for i in range(actor.n_layers - 1, 0, -1):
                 lanes.run(partial(_layer_grads, cache[i], delta, *actor_grads[i]),
                           partial(_layer_delta, cache[i], delta, actor.weights[i], actor_masks[i - 1],
                                   spare[i - 1]))
                 delta = spare[i - 1]
-            _layer_grads(cache[0], delta, *actor_grads[0])
+            # the first layer's entries of the step wait for its dW; the
+            # rest of the vector steps beside it
+            first, rest = lanes.parts(actor.weights[0].size + actor.biases[0].size)
+            bias = actor_opt._count_step()
+            lanes.run(partial(first_layer_and_steps, cache, delta, bias, first), partial(actor_steps, bias, rest))
             return actor_grads
 
-        a_loss, _ = actor_loss_and_grads(nets, batch, policy=policies[1], q=q_after, backward=actor_backward)
-        actor_opt, actor_grad = self.opt_actor, self._flat_grads[actor]
-
-        def actor_steps(bias: tuple, parts: tuple) -> None:
-            for part in parts:
-                actor_opt._step_part(bias, 0, actor.flat, actor_grad, part)
-
-        bias = actor_opt._count_step()
-        lanes.run(*(partial(actor_steps, bias, parts) for parts in lanes.parts(actor.flat.size)))
-        return c_loss, a_loss
+        a_loss, _ = actor_loss_and_grads(nets, batch, policy=policies[1], q=q, backward=actor_backward_and_step)
+        return c_loss, a_loss, policies[1]
 
     def _decide(self, features: np.ndarray, t: int) -> int:
         return select_action(features, self.nets, "stochastic", self.action_rng)

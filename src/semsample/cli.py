@@ -233,7 +233,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         with _phase(phase_s, "train"):
             for episode in range(start_episode, start_episode + episodes):
                 metrics = trainer.run_episode(episode)
-                log.debug("episode %d reward %.3f", episode, metrics.cumulative_reward)
+                log.debug("episode %d reward %.3f temperature %.6g", episode, metrics.cumulative_reward,
+                          trainer.nets.temperature)
                 rows.append({"episode": episode, **{c: getattr(metrics, c) for c in METRIC_COLUMNS}})
     except TrainingDiverged as exc:
         # a record of the finished episodes, but no snapshot: the last step

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import gc
 import json
+import math
 import sys
 import threading
 import time
@@ -180,22 +181,40 @@ def test_first_update_moves_log_temperature_by_one_adam_step(monkeypatch):
     _fill_memory(trainer, 16)
     batches = []
 
-    def recording(nets, batch, target_entropy):
+    def recording(nets, batch, target_entropy, **passes):
         batches.append(batch)
-        return temperature_loss_and_grad(nets, batch, target_entropy)
+        return temperature_loss_and_grad(nets, batch, target_entropy, **passes)
 
     monkeypatch.setattr(agent, "temperature_loss_and_grad", recording)
-    before = trainer.nets.log_temperature
+    # the loss reads the actor and the temperature from before the update
+    before = SacNetworks.from_dict(trainer.nets.to_dict(), SMALL_SAC)
     trainer.update()
     after = trainer.nets.log_temperature
     assert isinstance(after, float)
-    # the actor is not touched after its step, so re-evaluating the loss at
-    # the old temperature gives the gradient the update used
-    trainer.nets.log_temperature = before
-    _, g = temperature_loss_and_grad(trainer.nets, batches[0], SMALL_SAC.target_entropy)
+    _, g = temperature_loss_and_grad(before, batches[0], SMALL_SAC.target_entropy)
     step = SMALL_SAC.temperature_lr * g / (abs(g) + 1e-8)
     assert g != 0
-    assert after - before == pytest.approx(-step, rel=1e-9)
+    assert after - before.log_temperature == pytest.approx(-step, rel=1e-9)
+    # a first step's size hardly depends on |g|; its first moment does
+    assert trainer.opt_temperature.m[0] == (1.0 - 0.9) * g
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_the_temperature_loss_on_a_given_policy_equals_its_own_pass_bit_for_bit(dtype):
+    config = dataclasses.replace(SMALL_SAC, dtype=dtype)
+    trainer = _trainer(config=config)
+    _fill_memory(trainer, 16)
+    nets, batch = trainer.nets, trainer.memory.sample(16, np.dtype(dtype))
+    nets.log_temperature = 0.3
+    own = temperature_loss_and_grad(nets, batch, config.target_entropy)
+    given = temperature_loss_and_grad(nets, batch, config.target_entropy,
+                                      policy=nets.actor.forward_cached(batch.states))
+    assert [x.hex() for x in given] == [x.hex() for x in own]
+    # the given pass is the one read: equal logits have entropy log 2
+    uniform = temperature_loss_and_grad(nets, batch, config.target_entropy,
+                                        policy=(np.zeros((16, 2), np.dtype(dtype)), None))
+    want = math.exp(0.3) * (math.log(2) - config.target_entropy)
+    assert uniform == pytest.approx((want, want), rel=1e-6)
 
 
 def test_load_networks_restarts_every_optimizer():
@@ -252,8 +271,9 @@ def test_loaded_networks_keep_their_views_through_updates():
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
-    """Five updates on the flat vectors equal, bit for bit, per-array Adam
-    steps and per-array soft updates on a copy of the networks."""
+    """Five updates on the flat vectors equal, bit for bit, the three losses'
+    gradients on a copy of the networks followed by per-array Adam steps
+    and per-array soft updates."""
     config = dataclasses.replace(SMALL_SAC, dtype=dtype)
     trainer = _trainer(config=config)
     _fill_memory(trainer, 16)
@@ -277,11 +297,13 @@ def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
     for _ in range(5):
         trainer.update()
         batch = batches[-1]
+        # every loss reads the networks as they were before the update
         _, g1, g2 = agent.critic_loss_and_grads(ref, batch)
+        _, ga = agent.actor_loss_and_grads(ref, batch)
+        _, g_log_t = temperature_loss_and_grad(ref, batch, config.target_entropy)
         step("q1", g1)
         step("q2", g2)
-        step("actor", agent.actor_loss_and_grads(ref, batch)[1])
-        _, g_log_t = temperature_loss_and_grad(ref, batch, config.target_entropy)
+        step("actor", ga)
         log_t = np.array(ref.log_temperature)
         opt_t.step([log_t], [np.array(g_log_t)])
         ref.log_temperature = float(log_t)
@@ -389,12 +411,36 @@ def test_laned_updates_at_the_papers_widths_equal_serial_updates_bit_for_bit(mon
             _fill_memory(trainer, 160)
             runs[threaded_work] = _update_bits(trainer, 6)
             # phase 1, phase 2, each layer but the first of the actor's
-            # backward, its Adam step: 6 at the paper's widths
+            # backward, the first layer's beside the actor's Adam step: 6 at
+            # the paper's widths
             per_update = trainer.nets.actor.n_layers + 2
             assert len(handoffs) == (0 if threaded_work == OUT_OF_REACH else per_update * 6)
             monkeypatch.undo()
         laned, serial = runs.values()
         assert laned == serial
+
+
+def test_an_update_runs_six_forward_passes_on_two_lanes_and_four_on_one(monkeypatch):
+    """Each loss reads the passes the update began with: the actor on the
+    next states and on the states, and the target critics and the critics
+    on theirs, one member per pass on two lanes, the whole stack on one."""
+    real = agent._forward
+    for threaded_work, per_update in ((0, 6), (OUT_OF_REACH, 4)):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(agent, "THREADED_WORK", threaded_work)
+        trainer = _trainer()
+        _fill_memory(trainer, 16)
+        monkeypatch.setattr(agent, "_forward", counted)
+        monkeypatch.setattr("semsample.nets._forward", counted)
+        for _ in range(3):
+            trainer.update()
+        assert len(calls) == 3 * per_update
+        monkeypatch.undo()
 
 
 def test_laned_updates_with_fast_thread_switches_equal_serial_updates(monkeypatch):

@@ -2,6 +2,7 @@ import argparse
 import base64
 import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
@@ -298,6 +299,23 @@ def test_a_log_level_that_logging_does_not_know_gives_exit_2(capsys, monkeypatch
     assert captured.err == (f"error: SEMSAMPLE_LOG must name a logging level such as WARNING or DEBUG, "
                             f"got {level!r}\n")
     assert captured.out == ""
+
+
+def test_each_training_episode_logs_its_reward_and_temperature_at_debug(tmp_path, caplog, capsys):
+    config = _write(tmp_path / "config.json", TINY)
+    caplog.set_level(logging.DEBUG, logger="semsample")
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "train")]) == cli.EXIT_OK
+    capsys.readouterr()
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("episode ")]
+    assert [line.split()[:2] for line in lines] == [["episode", "0"], ["episode", "1"]]
+    curves = _rows(tmp_path / "train" / "curves.csv")
+    doc = json.loads((tmp_path / "train" / "snapshot.json").read_text())
+    for line, row in zip(lines, curves):
+        _, _, _, reward, key, temperature = line.split()
+        assert float(reward) == pytest.approx(float(row["cumulative_reward"]), abs=1e-3)
+        assert key == "temperature" and float(temperature) > 0
+    # the last episode ends with the snapshot's temperature
+    assert float(temperature) == pytest.approx(math.exp(doc["log_temperature"]), rel=1e-5)
 
 
 def test_fixed_seed_runs_write_byte_identical_outputs(tmp_path):

@@ -10,9 +10,10 @@ finite differences in the test suite.
 
 Every loss of an update reads the parameters as they were when the update
 began (Haarnoja et al. 2018): the actor loss takes the critics' values from
-the critic loss's own pass, and the temperature loss takes log pi from the
-actor loss's pass (Christodoulou 2019), so an update runs each net forward
-once per batch it reads, six passes in all.
+the critic loss's own pass, and the temperature loss takes the actor loss's
+probabilities and log pi (Christodoulou 2019), so an update runs each net
+forward once per batch it reads, six passes in all, and the policy's
+log-softmax once per batch.
 
 Each update runs one schedule, on the calling thread or, at the paper's
 widths and batch, on two lanes with a helper thread the trainer owns: the
@@ -154,7 +155,7 @@ class StateScaling:
         ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     """One interaction step; states are stored as feature vectors.
 
@@ -373,24 +374,35 @@ class SacNetworks:
         return nets
 
 
+# The arithmetic below calls the ufuncs' reduce where ndarray.max, .sum
+# and .mean would: the same reductions, without the methods' Python
+# wrappers, which cost more than the arithmetic at small batches.  A mean
+# is the sum over all entries divided by their count, as ndarray.mean
+# computes it.
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
-# The loss functions below take, as optional arguments, passes that a
-# caller has already run on the same weights: a ``policy`` is the
-# (logits, cache) pair of ``nets.actor.forward_cached`` on the rows the
-# function would pass, and a ``backward(cache, grad_out)`` takes the place
-# of the net's own ``backward``.  Trainer.update runs them on its lanes.
+# The loss functions below take, as optional arguments, what a caller has
+# already computed from the same weights: a ``next_policy`` is the (logits,
+# cache) pair of ``nets.actor.forward_cached`` on the next states; ``terms``
+# are the (probs, log pi, cache) that :func:`_policy_terms` makes of the
+# actor's pass on the states, which the actor and the temperature losses
+# share; ``q`` and ``next_q`` are the critics' and the target critics'
+# outputs; a ``backward(cache, grad_out)`` takes the place of the net's own
+# ``backward``.  Trainer.update runs the passes on its lanes.
 
 def _policy_terms(nets: SacNetworks, states: np.ndarray, policy=None):
+    """(probs, log pi, cache) of the actor's pass on ``states``: of
+    ``policy``, its (logits, cache), when given."""
     logits, cache = nets.actor.forward_cached(states) if policy is None else policy
     logp = log_softmax(logits)
     probs = np.exp(logp)
@@ -404,7 +416,7 @@ def critic_targets(nets: SacNetworks, batch: Batch, *, next_policy=None, next_q=
     probs, logp, _ = _policy_terms(nets, batch.next_states, next_policy)
     q1_next, q2_next = nets.target_critics.forward(batch.next_states) if next_q is None else next_q
     q_next = np.minimum(q1_next, q2_next)
-    v_next = (probs * (q_next - nets.temperature * logp)).sum(axis=1)
+    v_next = np.add.reduce(probs * (q_next - nets.temperature * logp), axis=1)
     cont = (~batch.terminals).astype(v_next.dtype)
     return batch.rewards + nets.config.gamma * cont * v_next
 
@@ -425,44 +437,44 @@ def critic_loss_and_grads(nets: SacNetworks, batch: Batch, *, next_policy=None, 
     out, cache = nets.critics.forward_cached(batch.states) if q is None else q
     diff = out[:, rows, batch.actions] - y
     loss = 0.0
-    for d in diff:
-        loss += float(0.5 * np.mean(d**2))
+    for d in diff:  # per critic: one reduce of both along axis 1 rounds differently
+        loss += float(0.5 * (np.add.reduce(d**2) / n))
     d_out = np.zeros_like(out)
     d_out[:, rows, batch.actions] = diff / n
     grads = (backward or nets.critics.backward)(cache, d_out)
     return loss, [(dw[0], db[0]) for dw, db in grads], [(dw[1], db[1]) for dw, db in grads]
 
 
-def actor_loss_and_grads(nets: SacNetworks, batch: Batch, *, policy=None, q=None,
+def actor_loss_and_grads(nets: SacNetworks, batch: Batch, *, terms=None, q=None,
                          backward: Optional[Callable] = None):
     """Expected (temperature * log pi - min Q) under the policy, with the
     expectation over the two actions computed exactly.  Critics are constant.
     ``q`` is the critics' output on the states; :class:`Trainer` passes the
     critic loss's own, from before the critics' step.
     """
-    probs, logp, cache = _policy_terms(nets, batch.states, policy)
+    probs, logp, cache = _policy_terms(nets, batch.states) if terms is None else terms
     q1, q2 = nets.critics.forward(batch.states) if q is None else q
     q_min = np.minimum(q1, q2)
     f = nets.temperature * logp - q_min
-    per_state = (probs * f).sum(axis=1, keepdims=True)
-    loss = float(per_state.mean())
+    per_state = np.add.reduce(probs * f, axis=1, keepdims=True)
     n = batch.states.shape[0]
+    loss = float(np.add.reduce(per_state, axis=None) / n)
     # d/dlogits of sum_a pi_a (T log pi_a - Q_a) = pi_b (f_b - E_pi[f])
     d_logits = probs * (f - per_state) / n
     grads = (backward or nets.actor.backward)(cache, d_logits)
     return loss, grads
 
 
-def temperature_loss_and_grad(nets: SacNetworks, batch: Batch, target_entropy: float, *, policy=None):
+def temperature_loss_and_grad(nets: SacNetworks, batch: Batch, target_entropy: float, *, terms=None):
     """Temperature loss T * (H(pi) - target H), pi treated as constant.
 
     Returns (loss, gradient w.r.t. log temperature); descending on the log
-    keeps the temperature positive.  ``policy`` is the actor's pass on the
-    states; :class:`Trainer` passes the actor loss's own, from before the
-    actor's step.
+    keeps the temperature positive.  :class:`Trainer` passes the actor
+    loss's own ``terms``, from its pass before the actor's step.
     """
-    probs, logp, _ = _policy_terms(nets, batch.states, policy)
-    entropy = float(-(probs * logp).sum(axis=1).mean())
+    probs, logp, _ = _policy_terms(nets, batch.states) if terms is None else terms
+    n = batch.states.shape[0]
+    entropy = float(-(np.add.reduce(np.add.reduce(probs * logp, axis=1)) / n))
     theta = nets.temperature
     loss = theta * (entropy - target_entropy)
     grad_log_theta = theta * (entropy - target_entropy)
@@ -593,8 +605,8 @@ class Trainer:
        layer's dW and db and steps that layer's entries of the actor's
        Adam step while lane 1 steps the rest.
 
-    The temperature loss then takes the actor's pass on the states from
-    phase 1.
+    The temperature loss then takes the probabilities and log pi that the
+    actor loss computed from the actor's pass on the states in phase 1.
 
     One lane runs lane 0's work and then lane 1's, on the whole stack for a
     member and on a whole flat vector for a part.  A member's pass makes
@@ -656,8 +668,8 @@ class Trainer:
         """One gradient step on a sampled batch; returns the three losses."""
         cfg = self.config
         batch = self.memory.sample(cfg.batch_size, np.dtype(cfg.dtype))
-        c_loss, a_loss, policy = self._critics_and_actor_on_lanes(batch)
-        t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy, policy=policy)
+        c_loss, a_loss, terms = self._critics_and_actor_on_lanes(batch)
+        t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy, terms=terms)
         log_t = np.array(self.nets.log_temperature)
         self.opt_temperature.step([log_t], [np.array(g_log_t)])
         self.nets.log_temperature = float(log_t)
@@ -672,7 +684,7 @@ class Trainer:
     def _critics_and_actor_on_lanes(self, batch: Batch) -> tuple[float, float, tuple]:
         """Phases 1-3 of an update (see the class docstring): the critics'
         and the actor's losses and steps, and the soft update.  Returns the
-        critic and actor losses and the actor's pass on the states."""
+        critic and actor losses and the actor loss's policy terms."""
         nets, lanes, tau = self.nets, self._lanes, self.config.tau
         actor, critics, targets = nets.actor, nets.critics, nets.target_critics
         states, next_states = batch.states, batch.next_states
@@ -738,8 +750,9 @@ class Trainer:
             lanes.run(partial(first_layer_and_steps, cache, delta, bias, first), partial(actor_steps, bias, rest))
             return actor_grads
 
-        a_loss, _ = actor_loss_and_grads(nets, batch, policy=policies[1], q=q, backward=actor_backward_and_step)
-        return c_loss, a_loss, policies[1]
+        terms = _policy_terms(nets, states, policies[1])
+        a_loss, _ = actor_loss_and_grads(nets, batch, terms=terms, q=q, backward=actor_backward_and_step)
+        return c_loss, a_loss, terms
 
     def _decide(self, features: np.ndarray, t: int) -> int:
         return select_action(features, self.nets, "stochastic", self.action_rng)

@@ -63,7 +63,7 @@ class MessageFormatError(ValueError):
     """Raised when a packet payload cannot be decoded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box in normalized coordinates, corners (b1,b2)-(b3,b4)."""
 
@@ -82,7 +82,7 @@ class BoundingBox:
         return (self.b1, self.b2, self.b3, self.b4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleRecord:
     """One vehicle in a scene.  track_id identifies the vehicle across frames."""
 
@@ -91,10 +91,11 @@ class VehicleRecord:
     box: BoundingBox
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vehicle_class", VehicleClass(self.vehicle_class))
+        if type(self.vehicle_class) is not VehicleClass:
+            object.__setattr__(self, "vehicle_class", VehicleClass(self.vehicle_class))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneAnnotation:
     """All vehicles sensed in one frame (one sensing time interval)."""
 
@@ -105,8 +106,7 @@ class SceneAnnotation:
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
         if self.frame_index < 0:
             raise ValueError(f"frame_index must be >= 0, got {self.frame_index}")
-        ids = [v.track_id for v in self.vehicles]
-        if len(ids) != len(set(ids)):
+        if len({v.track_id for v in self.vehicles}) != len(self.vehicles):
             raise ValueError("duplicate track_id within a scene")
 
     @property
@@ -114,7 +114,7 @@ class SceneAnnotation:
         return len(self.vehicles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticMessage:
     """Bit-packed layout packet: 22 bits per vehicle, zero-padded to bytes."""
 
@@ -146,6 +146,15 @@ class VisualLayout:
         grid.setflags(write=False)
         self.grid = grid
 
+    @classmethod
+    def _painted(cls, grid: np.ndarray) -> "VisualLayout":
+        """A layout over ``grid``, a fresh 2-D uint8 array holding only
+        background and class codes, without :meth:`__init__`'s checks."""
+        grid.setflags(write=False)
+        layout = object.__new__(cls)
+        layout.grid = grid
+        return layout
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VisualLayout):
             return NotImplemented
@@ -162,14 +171,15 @@ def _payload_bytes(vehicle_count: int) -> int:
     return (RECORD_BITS * vehicle_count + 7) // 8
 
 
-def _quantize(coord: float) -> int:
-    # floor to the 1/32 grid, clamped so coord == 1.0 maps to the top cell
-    return min(int(math.floor(coord * COORD_LEVELS)), COORD_LEVELS - 1)
-
-
 def _dequantize(level: int) -> float:
     # cell-center convention halves the worst-case quantization error
     return (level + 0.5) / COORD_LEVELS
+
+
+# decode_message's lookups: the class of each 2-bit class field and the
+# coordinate of each 5-bit level
+_CLASSES = tuple(VehicleClass)
+_CENTERS = tuple(_dequantize(level) for level in range(COORD_LEVELS))
 
 
 def encode_message(scene: SceneAnnotation) -> SemanticMessage:
@@ -181,9 +191,11 @@ def encode_message(scene: SceneAnnotation) -> SemanticMessage:
         return SemanticMessage(payload=b"", vehicle_count=0, size_bits=0)
     bits = 0
     for rec in scene.vehicles:
+        box = rec.box
         word = (rec.vehicle_class - 1) & 0b11
-        for coord in rec.box.as_tuple():
-            word = (word << COORD_BITS) | _quantize(coord)
+        for coord in (box.b1, box.b2, box.b3, box.b4):
+            # floor to the 1/32 grid, clamped so coord == 1.0 maps to the top cell
+            word = (word << COORD_BITS) | min(math.floor(coord * COORD_LEVELS), COORD_LEVELS - 1)
         bits = (bits << RECORD_BITS) | word
     total_bits = RECORD_BITS * count
     pad = (-total_bits) % 8
@@ -210,27 +222,44 @@ def decode_message(msg: SemanticMessage) -> SceneAnnotation:
     if bits & ((1 << pad) - 1):
         raise MessageFormatError("nonzero padding bits")
     bits >>= pad
+    level = COORD_LEVELS - 1
     vehicles = []
     for i in range(count):
-        shift = RECORD_BITS * (count - 1 - i)
-        word = (bits >> shift) & ((1 << RECORD_BITS) - 1)
-        levels = []
-        for j in range(4):
-            levels.append((word >> (COORD_BITS * (3 - j))) & (COORD_LEVELS - 1))
-        cls = VehicleClass(((word >> (4 * COORD_BITS)) & 0b11) + 1)
-        box = BoundingBox(*(_dequantize(q) for q in levels))
-        vehicles.append(VehicleRecord(track_id=i, vehicle_class=cls, box=box))
+        word = bits >> (RECORD_BITS * (count - 1 - i))
+        box = BoundingBox(
+            _CENTERS[(word >> (3 * COORD_BITS)) & level],
+            _CENTERS[(word >> (2 * COORD_BITS)) & level],
+            _CENTERS[(word >> COORD_BITS) & level],
+            _CENTERS[word & level],
+        )
+        vehicles.append(VehicleRecord(i, _CLASSES[(word >> (4 * COORD_BITS)) & 0b11], box))
     return SceneAnnotation(frame_index=0, vehicles=tuple(vehicles))
 
 
-def _pixel_rect(box: BoundingBox, width: int, height: int) -> tuple[int, int, int, int]:
-    # [floor(b1*W), ceil(b3*W)) x [floor(b2*H), ceil(b4*H)), clamped to the
-    # grid and forced non-empty so degenerate boxes keep at least one pixel
-    x1 = min(int(math.floor(box.b1 * width)), width - 1)
-    y1 = min(int(math.floor(box.b2 * height)), height - 1)
-    x2 = min(max(int(math.ceil(box.b3 * width)), x1 + 1), width)
-    y2 = min(max(int(math.ceil(box.b4 * height)), y1 + 1), height)
-    return x1, y1, x2, y2
+def _paint(boxes: Iterable[tuple[int, float, float, float, float]], width: int,
+           height: int) -> VisualLayout:
+    """A fresh layout with ``boxes``, (class code, b1, b2, b3, b4) in
+    normalized coordinates in [0, 1], painted in order, so later boxes
+    overwrite earlier ones where they overlap."""
+    floor, ceil = math.floor, math.ceil
+    grid = np.zeros((height, width), dtype=np.uint8)
+    for code, b1, b2, b3, b4 in boxes:
+        # [floor(b1*W), ceil(b3*W)) x [floor(b2*H), ceil(b4*H)), inside the
+        # grid as the coordinates are in [0, 1], a box at 1 starting in the
+        # last cell, and forced non-empty so degenerate boxes keep a pixel.
+        # Comparisons in place of min and max halve the loop's cost.
+        x1, y1 = floor(b1 * width), floor(b2 * height)
+        if x1 >= width:
+            x1 = width - 1
+        if y1 >= height:
+            y1 = height - 1
+        x2, y2 = ceil(b3 * width), ceil(b4 * height)
+        if x2 <= x1:
+            x2 = x1 + 1
+        if y2 <= y1:
+            y2 = y1 + 1
+        grid[y1:y2, x1:x2] = code
+    return VisualLayout._painted(grid)
 
 
 def rasterize(scene: SceneAnnotation, width: int, height: int) -> VisualLayout:
@@ -241,11 +270,8 @@ def rasterize(scene: SceneAnnotation, width: int, height: int) -> VisualLayout:
     """
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
-    grid = np.zeros((height, width), dtype=np.uint8)
-    for rec in scene.vehicles:
-        x1, y1, x2, y2 = _pixel_rect(rec.box, width, height)
-        grid[y1:y2, x1:x2] = int(rec.vehicle_class)
-    return VisualLayout(grid)
+    return _paint([(int(rec.vehicle_class), rec.box.b1, rec.box.b2, rec.box.b3, rec.box.b4)
+                   for rec in scene.vehicles], width, height)
 
 
 def _box_mismatch(a: BoundingBox, b: BoundingBox) -> tuple[int, int]:
@@ -256,9 +282,11 @@ def _box_mismatch(a: BoundingBox, b: BoundingBox) -> tuple[int, int]:
     intersection exact integers.  The ratio ranges over [0, 1/2]: 0 only for
     an exact match (or two empty boxes), 1/2 only for disjoint boxes.
     """
-    ratios = [c.as_integer_ratio() for c in (*a.as_tuple(), *b.as_tuple())]
-    scale = max(d for _, d in ratios)
-    a1, a2, a3, a4, b1, b2, b3, b4 = [n * (scale // d) for n, d in ratios]
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4), (m1, e1), (m2, e2), (m3, e3), (m4, e4) = map(
+        float.as_integer_ratio, (a.b1, a.b2, a.b3, a.b4, b.b1, b.b2, b.b3, b.b4))
+    scale = max(d1, d2, d3, d4, e1, e2, e3, e4)
+    a1, a2, a3, a4 = n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3), n4 * (scale // d4)
+    b1, b2, b3, b4 = m1 * (scale // e1), m2 * (scale // e2), m3 * (scale // e3), m4 * (scale // e4)
     area_a = (a3 - a1) * (a4 - a2)
     area_b = (b3 - b1) * (b4 - b2)
     w = min(a3, b3) - max(a1, b1)

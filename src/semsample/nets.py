@@ -249,7 +249,7 @@ def _backward(cache, delta, weights, masks, grads=None) -> list[tuple[np.ndarray
 def _layer_grads(a_in, delta, dw=None, db=None) -> tuple[np.ndarray, np.ndarray]:
     """A layer's (dW, db) from its input activation and output delta,
     written into ``dw`` and ``db`` (fresh if None)."""
-    return np.matmul(a_in.swapaxes(-1, -2), delta, out=dw), delta.sum(axis=-2, out=db)
+    return np.matmul(a_in.swapaxes(-1, -2), delta, out=dw), np.add.reduce(delta, axis=-2, out=db)
 
 
 def _layer_delta(a_in, delta, w, mask, out) -> np.ndarray:
@@ -284,6 +284,8 @@ class Adam:
         # temporaries and one for the flush's mask
         self._scratch = [(np.empty_like(p), np.empty_like(p), np.empty(np.shape(p), bool))
                          for p in params]
+        # the flush's threshold, the smallest normal float of each array
+        self._tiny = [np.finfo(m.dtype).tiny for m in self.m]
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         bias = self._count_step()
@@ -316,6 +318,6 @@ class Adam:
         denom = np.sqrt(np.divide(v, bias2, out=r), out=r)
         denom += self.eps
         p -= np.divide(step, denom, out=s)
-        tiny = np.finfo(m.dtype).tiny
+        tiny = self._tiny[i]
         np.copyto(m, 0, where=np.less(np.abs(m, out=s), tiny, out=small))
         np.copyto(v, 0, where=np.less(v, tiny, out=small))  # v holds no negatives

@@ -9,9 +9,11 @@ mid-silence).
 The predictor extrapolates constant velocity.  It works on annotations when
 it has them (per-track box velocity) and falls back to per-class centroid
 shift when only raster layouts are available.  A round computes its
-velocities (or class shifts) at once, but builds and rasterizes each layout
-only when it is first popped or indexed: the next reception usually comes
-within one or two intervals and replaces the rest of the round unseen.
+velocities (or class shifts) at once, but paints each layout only when it is
+first popped or indexed: the next reception usually comes within one or two
+intervals and replaces the rest of the round unseen.  A scene round paints
+each extrapolated box straight into the grid with the pixel rectangles of
+:func:`~semsample.layout.rasterize`, making no box, record or scene.
 """
 from __future__ import annotations
 
@@ -24,14 +26,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ingest import _clamp01
 from .layout import (
-    BoundingBox,
     SceneAnnotation,
     SemanticMessage,
     VehicleClass,
-    VehicleRecord,
     VisualLayout,
+    _paint,
     decode_message,
     prediction_deviation,
     rasterize,
@@ -119,7 +119,7 @@ class ConstantVelocityPredictor:
     Both methods predict the next ``horizon`` layouts from two past
     observations ``gap`` intervals apart: :meth:`predict_scenes` from two
     annotated scenes, :meth:`predict_layouts` from two raster layouts.  They
-    return a :class:`PredictedRound` that builds each layout when it is first
+    return a :class:`PredictedRound` that paints each layout when it is first
     read.
     """
 
@@ -129,46 +129,36 @@ class ConstantVelocityPredictor:
     def predict_scenes(self, older, newer, gap, horizon):
         if gap < 1:
             raise ValueError("gap between the two inputs must be >= 1")
-        old = {v.track_id: v for v in older.vehicles}
+        old = {v.track_id: v.box for v in older.vehicles}
         cap = self.config.max_track_speed
-        tracks = []
+        tracks = []  # (class code, b1..b4 of the newer box, vx, vy) in paint order
         for rec in newer.vehicles:
-            prev = old.get(rec.track_id)
-            if prev is None:
-                velocity = (0.0, 0.0)  # no motion evidence yet
-            else:
+            b = rec.box
+            a = old.get(rec.track_id)
+            vx = vy = 0.0  # no motion evidence yet
+            if a is not None:
                 # track the box center and hold the newer box's size: corner
                 # coordinates quantize independently on the wire, and
                 # extrapolating them separately turns that noise into boxes
                 # that steadily inflate or collapse
-                a = prev.box
-                b = rec.box
-                velocity = (
-                    ((b.b1 + b.b3) - (a.b1 + a.b3)) / (2.0 * gap),
-                    ((b.b2 + b.b4) - (a.b2 + a.b4)) / (2.0 * gap),
-                )
-                if max(abs(v) for v in velocity) > cap:
-                    velocity = (0.0, 0.0)  # implausible pairing
-            tracks.append((rec, velocity))
+                vx = ((b.b1 + b.b3) - (a.b1 + a.b3)) / (2.0 * gap)
+                vy = ((b.b2 + b.b4) - (a.b2 + a.b4)) / (2.0 * gap)
+                if max(abs(vx), abs(vy)) > cap:
+                    vx = vy = 0.0  # implausible pairing
+            tracks.append((int(rec.vehicle_class), b.b1, b.b2, b.b3, b.b4, vx, vy))
+        width, height = self.config.grid_width, self.config.grid_height
 
         def build(k: int) -> VisualLayout:
-            records = []
-            for rec, (vx, vy) in tracks:
-                b1 = rec.box.b1 + k * vx
-                b3 = rec.box.b3 + k * vx
-                b2 = rec.box.b2 + k * vy
-                b4 = rec.box.b4 + k * vy
+            boxes = []
+            for code, b1, b2, b3, b4, vx, vy in tracks:
+                dx, dy = k * vx, k * vy
+                b1, b2, b3, b4 = b1 + dx, b2 + dy, b3 + dx, b4 + dy
                 if b3 <= 0.0 or b1 >= 1.0 or b4 <= 0.0 or b2 >= 1.0:
                     continue  # fully out of frame: drop the track
-                records.append(
-                    VehicleRecord(
-                        track_id=rec.track_id,
-                        vehicle_class=rec.vehicle_class,
-                        box=BoundingBox(*map(_clamp01, (b1, b2, b3, b4))),
-                    )
-                )
-            scene = SceneAnnotation(frame_index=0, vehicles=tuple(records))
-            return rasterize(scene, self.config.grid_width, self.config.grid_height)
+                # clamped into the frame; a kept box has b1 < 1, b2 < 1,
+                # b3 > 0 and b4 > 0 already
+                boxes.append((code, max(b1, 0.0), max(b2, 0.0), min(b3, 1.0), min(b4, 1.0)))
+            return _paint(boxes, width, height)
 
         return PredictedRound(horizon, build)
 
@@ -198,7 +188,7 @@ class ConstantVelocityPredictor:
                 c = cols + int(np.rint(k * dc))
                 keep = (r >= 0) & (r < height) & (c >= 0) & (c < width)
                 grid[r[keep], c[keep]] = code
-            return VisualLayout(grid)
+            return VisualLayout._painted(grid)
 
         return PredictedRound(horizon, build)
 

@@ -76,7 +76,7 @@ class EpisodeConfig:
         return self.link.fading(self.fading_m, self.fading_m_s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepTrace:
     """Everything that happened in one decision step."""
 

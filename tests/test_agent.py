@@ -207,12 +207,13 @@ def test_the_temperature_loss_on_a_given_policy_equals_its_own_pass_bit_for_bit(
     nets, batch = trainer.nets, trainer.memory.sample(16, np.dtype(dtype))
     nets.log_temperature = 0.3
     own = temperature_loss_and_grad(nets, batch, config.target_entropy)
-    given = temperature_loss_and_grad(nets, batch, config.target_entropy,
-                                      policy=nets.actor.forward_cached(batch.states))
+    terms = agent._policy_terms(nets, batch.states, nets.actor.forward_cached(batch.states))
+    given = temperature_loss_and_grad(nets, batch, config.target_entropy, terms=terms)
     assert [x.hex() for x in given] == [x.hex() for x in own]
-    # the given pass is the one read: equal logits have entropy log 2
+    # the given terms are the ones read: equal logits have entropy log 2
     uniform = temperature_loss_and_grad(nets, batch, config.target_entropy,
-                                        policy=(np.zeros((16, 2), np.dtype(dtype)), None))
+                                        terms=agent._policy_terms(nets, batch.states,
+                                                                  (np.zeros((16, 2), np.dtype(dtype)), None)))
     want = math.exp(0.3) * (math.log(2) - config.target_entropy)
     assert uniform == pytest.approx((want, want), rel=1e-6)
 

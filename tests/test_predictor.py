@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import semsample.layout as layout_module
 from semsample.layout import (
     BoundingBox,
     SceneAnnotation,
@@ -17,6 +20,8 @@ from semsample.predictor import (
     Feedback,
     PredictorConfig,
 )
+
+from oracles import rasterize_oracle
 
 CFG = PredictorConfig(horizon=5, grid_width=120, grid_height=80)
 
@@ -296,22 +301,28 @@ def test_step_requires_bootstrap():
 # -- rounds built on pop ------------------------------------------------------------
 
 
-def _counting_rasterize(monkeypatch):
+def _counting_painters(monkeypatch):
+    """Records every layout the predictor module paints: scenes through
+    ``rasterize`` and predicted boxes through ``layout._paint``."""
     import semsample.predictor as predictor_module
 
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return rasterize(*args, **kwargs)
+    def counting(painter):
+        def paint(*args, **kwargs):
+            calls.append(args)
+            return painter(*args, **kwargs)
 
-    monkeypatch.setattr(predictor_module, "rasterize", counting)
+        return paint
+
+    monkeypatch.setattr(predictor_module, "rasterize", counting(rasterize))
+    monkeypatch.setattr(predictor_module, "_paint", counting(layout_module._paint))
     return calls
 
 
 @pytest.mark.parametrize("silent", range(CFG.horizon + 1))
 def test_destination_rasterizes_only_the_predictions_it_pops(monkeypatch, silent):
-    calls = _counting_rasterize(monkeypatch)
+    calls = _counting_painters(monkeypatch)
     dest = boot()
     assert len(calls) == 2  # the two bootstrap receptions, displayed
     for t in range(1, silent + 1):
@@ -325,7 +336,7 @@ def test_fully_iterated_round_equals_hand_extrapolated_boxes(monkeypatch):
     newer = scene(rec(0, 0.3125, w=0.125), rec(1, 0.625), rec(2, 0.0625, y=0.5, w=0.125))
     gap = 2  # track 0 moves +1/32 per interval, track 2 -1/32, track 1 is new
     velocity = {0: 1 / 32, 1: 0.0, 2: -1 / 32}
-    calls = _counting_rasterize(monkeypatch)
+    calls = _counting_painters(monkeypatch)
     round_ = ConstantVelocityPredictor(CFG).predict_scenes(older, newer, gap, 5)
     assert calls == [] and len(round_) == 5  # nothing built yet
     got = list(round_)
@@ -348,6 +359,54 @@ def test_fully_iterated_round_equals_hand_extrapolated_boxes(monkeypatch):
     assert len(calls) == 5
     with pytest.raises(IndexError):
         round_[5]
+
+
+@st.composite
+def dyadic_tracks(draw):
+    """Two scenes ``gap`` intervals apart and each newer track's expected
+    velocity.  Coordinates and velocities are multiples of 1/64, so every
+    extrapolated edge is exact.  Boxes may overlap, sit at an edge or leave
+    the frame within the horizon; a velocity above the speed cap is held
+    static, as is a track whose older box would lie outside the frame."""
+    # the edges, and the multiples of 1/8 that 120 pixels turn into edges
+    # of whole pixels, so that empty boxes paint one pixel
+    start = st.one_of(st.integers(0, 63), st.sampled_from([0, 8, 56, 63]))
+    size = st.one_of(st.integers(0, 24), st.sampled_from([0, 8]))
+    gap = draw(st.integers(1, 3))
+    older, newer, velocity = [], [], {}
+    for tid in range(draw(st.integers(0, 8))):
+        x1, y1 = draw(start), draw(start)
+        x2, y2 = min(x1 + draw(size), 64), min(y1 + draw(size), 64)
+        cls = draw(st.sampled_from(list(VehicleClass)))
+        newer.append(VehicleRecord(tid, cls, BoundingBox(x1 / 64, y1 / 64, x2 / 64, y2 / 64)))
+        vx, vy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        ox1, oy1, ox2, oy2 = x1 - gap * vx, y1 - gap * vy, x2 - gap * vx, y2 - gap * vy
+        velocity[tid] = (0.0, 0.0)
+        if draw(st.integers(0, 3)) and min(ox1, oy1) >= 0 and max(ox2, oy2) <= 64:
+            older.append(VehicleRecord(tid, cls, BoundingBox(ox1 / 64, oy1 / 64, ox2 / 64, oy2 / 64)))
+            if max(abs(vx), abs(vy)) / 64 <= CFG.max_track_speed:
+                velocity[tid] = (vx / 64, vy / 64)
+    draw(st.randoms()).shuffle(older)  # pairing is by track id, not by order
+    return scene(*older), scene(*newer), gap, velocity
+
+
+@given(dyadic_tracks(), st.integers(1, 12), st.sampled_from([(120, 80), (37, 23)]))
+@settings(max_examples=80, deadline=None)
+def test_every_predicted_layout_equals_the_oracle_of_hand_extrapolated_records(tracks, horizon, size):
+    older, newer, gap, velocity = tracks
+    width, height = size
+    config = PredictorConfig(horizon=horizon, grid_width=width, grid_height=height)
+    round_ = ConstantVelocityPredictor(config).predict_scenes(older, newer, gap, horizon)
+    for k, layout in enumerate(round_, start=1):
+        records = []
+        for r in newer.vehicles:
+            vx, vy = velocity[r.track_id]
+            b1, b2, b3, b4 = r.box.b1 + k * vx, r.box.b2 + k * vy, r.box.b3 + k * vx, r.box.b4 + k * vy
+            if b3 <= 0 or b1 >= 1 or b4 <= 0 or b2 >= 1:
+                continue  # fully out of frame
+            box = BoundingBox(*(min(max(c, 0.0), 1.0) for c in (b1, b2, b3, b4)))
+            records.append(VehicleRecord(r.track_id, r.vehicle_class, box))
+        np.testing.assert_array_equal(layout.grid, rasterize_oracle(scene(*records), width, height))
 
 
 def test_queue_counts_down_and_refills():

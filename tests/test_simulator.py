@@ -1,7 +1,11 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
-from semsample import predictor, simulator
+from semsample import layout, predictor, simulator
 from semsample.config import default_config, resolve_config
 from semsample.ingest import TrafficGenConfig, generate_traffic
 from semsample.predictor import PredictorConfig
@@ -125,3 +129,38 @@ def test_play_yields_one_transition_per_interval_in_order(frames, steps):
         assert (got.action, got.reward, got.terminal) == (want.action, want.reward, want.terminal)
         assert np.array_equal(got.state, want.state)
         assert np.array_equal(got.next_state, want.next_state)
+
+
+def test_the_slotted_records_survive_deepcopy_and_pickle_and_traces_keep_their_key_order():
+    clip = generate_traffic(TrafficGenConfig(lanes=2, spawn_rate=0.5, seed=7), 120, "dense")
+    config = EpisodeConfig(steps=40, predictor=PredictorConfig(grid_width=24, grid_height=16),
+                           energy_scale=ENERGY_SCALE, seed=5)
+    env = SamplingEnv(config, [clip], record_trace=True)
+    policy = PeriodicPolicy(3)
+    steps = env.play(policy.decide)
+    transitions = [next(steps) for _ in range(10)]
+    scene = clip.frames[3]
+    records = [scene, scene.vehicles[0], scene.vehicles[0].box, layout.encode_message(scene),
+               *env.metrics.trace]
+    assert scene.vehicles and env.metrics.trace
+    for record in records + transitions:
+        assert not hasattr(record, "__dict__")  # slotted
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)
+    for copied in (copy.deepcopy(records), pickle.loads(pickle.dumps(records))):
+        assert copied == records and all(a is not b for a, b in zip(copied, records))
+    for copied in (copy.deepcopy(transitions), pickle.loads(pickle.dumps(transitions))):
+        for a, b in zip(copied, transitions):
+            assert (a.action, a.reward, a.terminal) == (b.action, b.reward, b.terminal)
+            assert np.array_equal(a.state, b.state) and np.array_equal(a.next_state, b.next_state)
+    # ``evaluate --traces`` writes each step's fields in this order
+    assert list(dataclasses.asdict(env.metrics.trace[0])) == [
+        "t", "action", "forced", "packet_bits", "energy_j", "deviation", "penalized",
+        "case3_deviation", "reward", "chi", "queue_len"]
+    # a copy of the environment mid-episode, sharing its clips, plays on as
+    # the original does
+    twin = copy.deepcopy(env, {id(env.clips): env.clips, id(env._clip): env._clip})
+    for t in range(11, 31):
+        a, b = env.step(policy.decide(None, t)), twin.step(policy.decide(None, t))
+        assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+    assert twin.metrics.trace == env.metrics.trace and len(env.metrics.trace) == 30

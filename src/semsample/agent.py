@@ -15,12 +15,20 @@ probabilities and log pi (Christodoulou 2019), so an update runs each net
 forward once per batch it reads, six passes in all, and the policy's
 log-softmax once per batch.
 
+All five nets live in one parameter vector, ``[target_q1 | target_q2 |
+actor | q1 | q2]``, so the actor and the twins, which share one shape,
+run as stacked nets (see :class:`SacNetworks`): both targets and the actor
+on the next states, and the actor and both critics on the states.  One
+Adam steps ``[actor | q1 | q2]``, each net at its own learning rate.
+
 Each update runs one schedule, on the calling thread or, at the paper's
-widths and batch, on two lanes with a helper thread the trainer owns: the
-twin critics' passes and steps side by side, the actor's two forward
+widths and batch, on two lanes with a helper thread the trainer owns (see
+:class:`Trainer`).  On one lane it makes two stacked forward passes, one
+stacked backward, one Adam step and one soft update.  On two, the twin
+critics' passes and steps run side by side, the actor's two forward
 passes beside them, and each layer of the actor's backward as its weight
-gradient beside the delta it passes down (see :class:`Trainer`).  No pass
-is split by rows, so two lanes give the bits of one.
+gradient beside the delta it passes down.  No pass is split by rows, so
+two lanes give the bits of one.
 """
 from __future__ import annotations
 
@@ -286,11 +294,20 @@ class SacConfig:
 class SacNetworks:
     """Actor, twin critics with soft-updated targets, and the temperature.
 
-    The twin critics run as one stacked net, ``critics``, and their targets
-    as ``target_critics`` (see :meth:`Mlp.stack`); ``q1``, ``q2``,
-    ``target_q1`` and ``target_q2`` are plain nets viewing their halves.
-    The target critics share the critics' pass buffers: nothing reads their
-    hidden activations, and the critics' own pass overwrites them next.
+    All five nets live in one parameter vector laid out ``[target_q1 |
+    target_q2 | actor | q1 | q2]``, viewed as the five-member stacked net
+    ``stacked`` (see :meth:`Mlp.stack`).  Its members 0-2, both targets
+    and the actor, form the stack ``next_state``, which runs on the next
+    states, and its members 2-4, the actor and the twins, the stack
+    ``trained``, which runs on the states and which an update steps as one
+    vector.  ``actor``, ``q1``, ``q2``, ``target_q1`` and ``target_q2`` are
+    plain nets viewing their member, and ``critics`` and
+    ``target_critics`` two-member stacks viewing the twins and their
+    targets, so a write through any of them shows in all that hold it.
+    The next-state stack shares the trained stack's pass buffers, and the
+    target critics the critics': nothing reads the hidden activations of
+    the targets' passes, and the other stack's own pass overwrites them
+    next.
     """
 
     N_ACTIONS = 2
@@ -301,19 +318,23 @@ class SacNetworks:
         dtype = np.dtype(config.dtype)
         # twin critics draw independent initial weights: identically
         # initialized twins would stay identical and defeat the min() guard
-        self.actor = Mlp(dims, rng, dtype)
+        actor = Mlp(dims, rng, dtype)
         q1 = Mlp(dims, rng, dtype)
         q2 = Mlp(dims, rng, dtype)
-        self._stack_critics(q1, q2, q1, q2)
+        self._stack(actor, q1, q2, q1, q2)
         self.log_temperature = float(math.log(config.initial_temperature))
         self.state_dim = state_dim
         self.config = config
 
-    def _stack_critics(self, q1: Mlp, q2: Mlp, target_q1: Mlp, target_q2: Mlp) -> None:
-        """Copy the twins and their targets into the two stacked nets, which
-        share one set of pass buffers."""
-        self.critics, (self.q1, self.q2) = Mlp.stack([q1, q2])
-        self.target_critics, (self.target_q1, self.target_q2) = Mlp.stack([target_q1, target_q2])
+    def _stack(self, actor: Mlp, q1: Mlp, q2: Mlp, target_q1: Mlp, target_q2: Mlp) -> None:
+        """Copy the five nets into the one vector and view it."""
+        self.stacked, (self.target_q1, self.target_q2, self.actor, self.q1, self.q2) = Mlp.stack(
+            [target_q1, target_q2, actor, q1, q2])
+        self.next_state = self.stacked.substack(slice(0, 3))
+        self.trained = self.stacked.substack(slice(2, 5))
+        self.target_critics = self.stacked.substack(slice(0, 2))
+        self.critics = self.stacked.substack(slice(3, 5))
+        self.next_state._buffers = self.trained._buffers
         self.target_critics._buffers = self.critics._buffers
 
     @property
@@ -365,8 +386,7 @@ class SacNetworks:
                         f"{name} shapes {net.dims} incompatible with config {expected}"
                     )
                 loaded.append(net)
-            nets.actor = loaded[0]
-            nets._stack_critics(*loaded[1:])
+            nets._stack(*loaded)
         except KeyError as exc:
             raise ValueError(f"malformed snapshot: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -398,7 +418,9 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 # actor's pass on the states, which the actor and the temperature losses
 # share; ``q`` and ``next_q`` are the critics' and the target critics'
 # outputs; a ``backward(cache, grad_out)`` takes the place of the net's own
-# ``backward``.  Trainer.update runs the passes on its lanes.
+# ``backward``.  Trainer.update runs the passes on its lanes; its backward
+# only keeps the output delta, and it runs the backward of both losses
+# once both have returned.
 
 def _policy_terms(nets: SacNetworks, states: np.ndarray, policy=None):
     """(probs, log pi, cache) of the actor's pass on ``states``: of
@@ -526,21 +548,43 @@ class TrainingDiverged(RuntimeError):
 class _Lanes:
     """One lane, the calling thread, or two: the calling thread and one
     helper thread, a one-worker executor whose thread starts at the first
-    :meth:`run` and ends when the lanes are collected.  ``members`` and
-    :meth:`parts` hold each lane's members of a stack of two and parts of a
-    flat vector: on two lanes one member and one part each; on one, lane 0
-    has the whole stack, ``slice(None)``, and the whole vector, lane 1 none."""
+    :meth:`run` and ends when the lanes are collected.
+
+    The lanes also name each lane's members in each phase of
+    :meth:`Trainer.update`, as indexes into the stacks of
+    :class:`SacNetworks`: an int for one member, ``slice(None)`` for all.
+
+    - ``forwards``, phase 1: per lane, the (stack, member, slot) of each
+      forward pass.  Stack 0 is the next-state stack, on the next states,
+      stack 1 the trained stack, on the states; the slot is the member of
+      the trained stack's pass buffers that the pass runs in.
+    - ``backwards``, phase 2: per lane, the (trained member, critic
+      member) pairs whose backward and step it runs, with the blend of the
+      critic member's target.
+    - ``split``, phase 3: the (trained member, slot) of each backward that
+      the lanes split by layer, each layer's gradients on one lane beside
+      the delta it passes down, into the slot's buffers, on the other.
+
+    On one lane, lane 0 runs each stack whole and lane 1 nothing.  On two,
+    lane k runs critic k and target critic k, lane 0 the actor on the next
+    states and lane 1 on the states, and phase 3 splits the actor's
+    backward.
+    """
 
     def __init__(self, two: bool):
         self._helper = ThreadPoolExecutor(1, thread_name_prefix="semsample-lane") if two else None
-        self.members = ((0,), (1,)) if two else ((slice(None),), ())
-
-    def parts(self, cut: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
-        """Each lane's parts of a flat vector: on two lanes the entries
-        before ``cut`` and those from it on."""
-        if self._helper is None:
-            return (slice(None),), ()
-        return (slice(None, cut),), (slice(cut, None),)
+        self.count = 2 if two else 1
+        if two:
+            # lane 0 runs its passes in critic 0's slot, one after another;
+            # the actor's deltas go there too, free after phase 2
+            self.forwards = (((0, 2, 1), (0, 0, 1), (1, 1, 1)), ((1, 0, 0), (0, 1, 2), (1, 2, 2)))
+            self.backwards = (((1, 0),), ((2, 1),))
+            self.split = ((0, 1),)
+        else:
+            every = slice(None)
+            self.forwards = (((0, every, every), (1, every, every)), ())
+            self.backwards = (((every, every),), ())
+            self.split = ()
 
     def run(self, here: Callable[[], object], there: Callable[[], object]) -> None:
         """``here()`` on the calling thread while the helper runs
@@ -565,11 +609,20 @@ def _member(net: Mlp, k: int | slice) -> tuple[list[np.ndarray], list[np.ndarray
     return [w[k] for w in net.weights], [b[k] for b in net.biases]
 
 
+def _entries(net: Mlp, k: int | slice) -> slice:
+    """The entries of member ``k`` of a stacked net in its ``flat``, or all
+    of them for ``slice(None)``."""
+    if isinstance(k, slice):
+        return k
+    size = net.flat.size // net.n_stacked
+    return slice(k * size, (k + 1) * size)
+
+
 def _grad_views(net: Mlp, flat_grad: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The [(dW, db), ...] of ``net.backward`` as views of ``flat_grad``,
-    laid out as ``net.flat``."""
+    """The [(dW, db), ...] of a stacked net's ``backward`` as views of
+    ``flat_grad``, laid out as ``net.flat``."""
     view = net._new(flat_grad, net.n_stacked)
-    return [(w, b[:, 0] if net.n_stacked else b) for w, b in zip(view.weights, view.biases)]
+    return [(w, b[:, 0]) for w, b in zip(view.weights, view.biases)]
 
 
 class Trainer:
@@ -586,34 +639,39 @@ class Trainer:
     trainer's one helper thread, which starts at the first update and ends
     when the trainer is collected; below it, the calling thread alone.
     Every loss reads the parameters as they were when the update began, so
-    each net runs forward once per batch it reads.  Each lane runs only
-    work whose result the other lane does not read, in three phases that
-    each end when both lanes have:
+    each net runs forward once per batch it reads.  One Adam steps the
+    trained vector ``[actor | q1 | q2]``, each net at its own learning
+    rate.  Each lane runs only work whose result the other lane does not
+    read, in three phases that each end when both lanes have (the lanes
+    name each lane's members, see :class:`_Lanes`):
 
-    1. Each lane first runs the actor, lane 0 on the next states, in
-       critic 0's pass buffers, and lane 1 on the states.  Then lane k
-       runs target critic k on the next states and critic k on the states,
-       keeping its cache.
-    2. After the critic loss, lane k runs critic k's backward into its half
-       of the flat gradient, its half of the critics' Adam step and of the
-       soft update.  Nothing after the soft update reads the targets, and
-       the actor loss takes the critics' values from phase 1.
-    3. After the actor loss, each of the actor's layers above the first
-       computes dW and db on one lane while the other passes the delta
-       down, into critic 0's pass buffers, free by then, so that the
-       activations dW reads stay whole.  Then lane 0 computes the first
-       layer's dW and db and steps that layer's entries of the actor's
-       Adam step while lane 1 steps the rest.
+    1. The forward passes, all in the trained stack's pass buffers.  On
+       one lane, the next-state stack on the next states, then the trained
+       stack on the states.  On two, lane k runs target critic k and
+       critic k, and the actor runs on the next states on lane 0 and on
+       the states on lane 1.
+
+       The critic and actor losses then give the output delta ``[d_logits;
+       d_q1; d_q2]``; nothing in them reads a net's new parameters.
+    2. The backward, the Adam step and the soft update.  On one lane, one
+       backward of the trained stack into the flat gradient, one step of
+       the whole vector and one blend of both targets.  On two, lane k runs
+       critic k's backward, its range of the step and target critic k's
+       blend.  Nothing after the soft update reads the targets.
+    3. On two lanes, each of the actor's layers above the first computes
+       dW and db on one lane while the other passes the delta down, into
+       critic 0's pass buffers, free by then, so that the activations dW
+       reads stay whole.  Then lane 0 computes the first layer's dW and db
+       and steps that layer's entries of the actor's range while lane 1
+       steps the rest.  On one lane the phase has no member.
 
     The temperature loss then takes the probabilities and log pi that the
     actor loss computed from the actor's pass on the states in phase 1.
 
-    One lane runs lane 0's work and then lane 1's, on the whole stack for a
-    member and on a whole flat vector for a part.  A member's pass makes
-    the BLAS calls of its part of the stacked pass, and a step is
-    elementwise, so two lanes give the bits of one; no pass is split by
-    rows (see :mod:`semsample.nets`).  The lanes call only numpy and
-    private functions.
+    A member's pass makes the BLAS calls of its part of the stacked pass,
+    and a step is elementwise, so two lanes give the bits of one; no pass
+    is split by rows (see :mod:`semsample.nets`).  The lanes call only
+    numpy and private functions.
     """
 
     def __init__(
@@ -641,19 +699,26 @@ class Trainer:
         self.gradient_steps = 0
         self.episodes_trained = 0
 
+    @property
+    def lane_count(self) -> int:
+        """The lanes an update runs on, 1 or 2."""
+        return self._lanes.count
+
     def _build_optimizers(self) -> None:
-        cfg = self.config
-        # Adam is elementwise, so one step over [q1.flat | q2.flat] equals
-        # a step on each twin with the shared lr and step count
-        self.opt_critics = Adam([self.nets.critics.flat], cfg.critic_lr)
-        self.opt_actor = Adam([self.nets.actor.flat], cfg.actor_lr)
+        cfg, trained = self.config, self.nets.trained
+        # Adam is elementwise, so one step over [actor | q1 | q2] at the
+        # actor's and the critics' rates equals a step on each net with its
+        # own rate and the shared step count
+        actor = self.nets.actor.flat.size
+        self.opt_trained = Adam([trained.flat], ((slice(None, actor), cfg.actor_lr),
+                                                 (slice(actor, None), cfg.critic_lr)))
         # the log temperature stays a float on the networks; its optimizer
         # steps a 0-d copy of it
         self.opt_temperature = Adam([np.zeros(())], cfg.temperature_lr)
-        # the gradient vector of each net's step, and its layers as views of
-        # it, which the backward fills
-        self._flat_grads = {net: np.empty_like(net.flat) for net in (self.nets.critics, self.nets.actor)}
-        self._grads = {net: _grad_views(net, flat) for net, flat in self._flat_grads.items()}
+        # the gradient vector of the step, laid out as trained.flat, and its
+        # layers as views of it, which the backward fills
+        self._grad = np.empty_like(trained.flat)
+        self._grads = _grad_views(trained, self._grad)
 
     def load_networks(self, nets: SacNetworks) -> None:
         """Adopt previously trained networks (optimizer state starts fresh)."""
@@ -686,72 +751,69 @@ class Trainer:
         and the actor's losses and steps, and the soft update.  Returns the
         critic and actor losses and the actor loss's policy terms."""
         nets, lanes, tau = self.nets, self._lanes, self.config.tau
-        actor, critics, targets = nets.actor, nets.critics, nets.target_critics
-        states, next_states = batch.states, batch.next_states
+        trained, critics, targets = nets.trained, nets.critics, nets.target_critics
+        states = batch.states
+        stacks, inputs = (nets.next_state, trained), (batch.next_states, states)
         rows = states.shape[0]
-        hidden = critics._buffers_for("act", rows)  # the target critics' too
-        masks = critics._buffers_for("mask", rows)
-        # critic 0's share of the critics' buffers, which the actor's shape
-        # fits: the actor's pass on the next states runs in it before target
-        # critic 0's pass does, and the actor's deltas go into it in phase 3
-        spare = [h[0] for h in hidden]
-        q_next, q = (np.empty((critics.n_stacked, rows, critics.dims[-1]), critics.dtype) for _ in range(2))
-        policies = [None, None]  # the actor on the next states, on the states
+        hidden = trained._buffers_for("act", rows)  # the next-state stack's too
+        masks = trained._buffers_for("mask", rows)
+        # each stack's outputs: [target q1; target q2; actor logits] on the
+        # next states, [actor logits; q1; q2] on the states
+        outs = np.empty((2, trained.n_stacked, rows, trained.dims[-1]), trained.dtype)
 
-        def forwards(lane: int, x: np.ndarray, actor_hidden: list) -> None:
-            policies[lane] = _forward(x, actor.weights, actor.biases, actor_hidden)
-            for k in lanes.members[lane]:
-                _forward(next_states, *_member(targets, k), [h[k] for h in hidden], q_next[k])
-                _forward(states, *_member(critics, k), [h[k] for h in hidden], q[k])
+        def forwards(lane: int) -> None:
+            for stack, k, slot in lanes.forwards[lane]:
+                _forward(inputs[stack], *_member(stacks[stack], k), [h[slot] for h in hidden], outs[stack][k])
 
-        lanes.run(partial(forwards, 0, next_states, spare),
-                  partial(forwards, 1, states, actor._buffers_for("act", rows)))
+        lanes.run(partial(forwards, 0), partial(forwards, 1))
 
-        critic_opt, grads, critic_grad = self.opt_critics, self._grads[critics], self._flat_grads[critics]
-        critic_parts = lanes.parts(critics.flat.size // 2)  # member k's half on two lanes
+        next_out, out = outs
+        cache = [states, *hidden, out]
+        opt, grad, grads = self.opt_trained, self._grad, self._grads
+        # the output delta [d_logits; d_q1; d_q2]: each loss's backward only
+        # keeps its part, and phases 2 and 3 run the backward
+        delta = np.empty_like(out)
 
-        def critic_steps(lane: int, bias: tuple, cache: list, d_out: np.ndarray) -> None:
-            for k, part in zip(lanes.members[lane], critic_parts[lane]):
-                _backward([cache[0], *(c[k] for c in cache[1:])], d_out[k], _member(critics, k)[0],
+        def keep(k: int | slice, _cache: list, grad_out: np.ndarray) -> list:
+            delta[k] = grad_out
+            return [(dw[k], db[k]) for dw, db in grads]
+
+        c_loss, _, _ = critic_loss_and_grads(nets, batch, next_policy=(next_out[2], None), next_q=next_out[:2],
+                                             q=(out[1:], cache), backward=partial(keep, slice(1, None)))
+        terms = _policy_terms(nets, states, (out[0], cache))
+        a_loss, _ = actor_loss_and_grads(nets, batch, terms=terms, q=out[1:], backward=partial(keep, 0))
+
+        bias = opt._count_step()
+
+        def backwards(lane: int) -> None:
+            for k, c in lanes.backwards[lane]:
+                _backward([states, *(h[k] for h in hidden)], delta[k], _member(trained, k)[0],
                           [m[k] for m in masks], [(dw[k], db[k]) for dw, db in grads])
-                critic_opt._step_part(bias, 0, critics.flat, critic_grad, part)
+                opt._step_part(bias, 0, trained.flat, grad, _entries(trained, k))
+                part = _entries(critics, c)
                 _blend(targets.flat[part], critics.flat[part], tau)
 
-        def critics_backward_and_step(cache: list, d_out: np.ndarray) -> list:
-            bias = critic_opt._count_step()
-            lanes.run(partial(critic_steps, 0, bias, cache, d_out), partial(critic_steps, 1, bias, cache, d_out))
-            return grads
+        lanes.run(partial(backwards, 0), partial(backwards, 1))
 
-        c_loss, _, _ = critic_loss_and_grads(nets, batch, next_policy=policies[0], next_q=q_next,
-                                             q=(q, [states, *hidden, q]), backward=critics_backward_and_step)
+        def first_layer_and_step(d: np.ndarray, layer_grads: tuple, part: slice) -> None:
+            _layer_grads(states, d, *layer_grads)
+            opt._step_part(bias, 0, trained.flat, grad, part)
 
-        actor_opt, actor_grads, actor_grad = self.opt_actor, self._grads[actor], self._flat_grads[actor]
-        actor_masks = actor._buffers_for("mask", rows)
-
-        def actor_steps(bias: tuple, parts: tuple) -> None:
-            for part in parts:
-                actor_opt._step_part(bias, 0, actor.flat, actor_grad, part)
-
-        def first_layer_and_steps(cache: list, delta: np.ndarray, bias: tuple, parts: tuple) -> None:
-            _layer_grads(cache[0], delta, *actor_grads[0])
-            actor_steps(bias, parts)
-
-        def actor_backward_and_step(cache: list, grad_out: np.ndarray) -> list:
-            delta = np.asarray(grad_out, actor.dtype)
-            for i in range(actor.n_layers - 1, 0, -1):
-                lanes.run(partial(_layer_grads, cache[i], delta, *actor_grads[i]),
-                          partial(_layer_delta, cache[i], delta, actor.weights[i], actor_masks[i - 1],
-                                  spare[i - 1]))
-                delta = spare[i - 1]
+        for k, slot in lanes.split:
+            weights = _member(trained, k)[0]
+            member_grads = [(dw[k], db[k]) for dw, db in grads]
+            d = delta[k]
+            for i in range(trained.n_layers - 1, 0, -1):
+                lanes.run(partial(_layer_grads, hidden[i - 1][k], d, *member_grads[i]),
+                          partial(_layer_delta, hidden[i - 1][k], d, weights[i], masks[i - 1][k],
+                                  hidden[i - 1][slot]))
+                d = hidden[i - 1][slot]
             # the first layer's entries of the step wait for its dW; the
-            # rest of the vector steps beside it
-            first, rest = lanes.parts(actor.weights[0].size + actor.biases[0].size)
-            bias = actor_opt._count_step()
-            lanes.run(partial(first_layer_and_steps, cache, delta, bias, first), partial(actor_steps, bias, rest))
-            return actor_grads
-
-        terms = _policy_terms(nets, states, policies[1])
-        a_loss, _ = actor_loss_and_grads(nets, batch, terms=terms, q=q, backward=actor_backward_and_step)
+            # rest of the member's steps beside it
+            member = _entries(trained, k)
+            cut = member.start + weights[0].size + weights[0].shape[-1]
+            lanes.run(partial(first_layer_and_step, d, member_grads[0], slice(member.start, cut)),
+                      partial(opt._step_part, bias, 0, trained.flat, grad, slice(cut, member.stop)))
         return c_loss, a_loss, terms
 
     def _decide(self, features: np.ndarray, t: int) -> int:

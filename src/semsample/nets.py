@@ -11,14 +11,18 @@ Nets of equal shape can run side by side as one stacked net
 per member and layer, each the same BLAS call as the member's own pass.
 Its ``flat`` vector is the members' vectors end to end, ``[q1.flat |
 q2.flat]`` for two, and the members are returned as views into it, so Adam
-and the soft update step all of them in one pass.
+and the soft update step all of them in one pass.  A contiguous slice of
+the members is a stacked net of its own over their part of ``flat``
+(:meth:`Mlp.substack`), so one vector can hold several stacks that
+overlap.  One Adam can step members at different learning rates, each on
+its range of the vector.
 
 Every pass here is serial and starts no thread.  The trainer runs each
 SAC update on one lane, its own thread, or at the paper's widths on two,
 with a helper thread that it owns (see :class:`semsample.agent.Trainer`),
 through this module's private functions: :func:`_forward` and
-:func:`_backward` of the actor, of a stacked net or of one member, one
-layer's gradients (:func:`_layer_grads`) beside the delta it passes down
+:func:`_backward` of a stacked net or of one member, one layer's
+gradients (:func:`_layer_grads`) beside the delta it passes down
 (:func:`_layer_delta`), and :meth:`Adam._step_part` on a flat vector or
 part of it.  A member's pass makes the BLAS calls of its part of the
 stacked pass, so two lanes give the bits of one.  No pass is split by
@@ -50,6 +54,7 @@ them to ``dtype``, so a float32 net read as float64 gets its values exactly.
 from __future__ import annotations
 
 import base64
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,6 +128,12 @@ class Mlp:
             raise ValueError("only plain nets of one shape and dtype stack")
         flat = np.concatenate([n.flat for n in nets])
         return first._new(flat, len(nets)), [first._new(row) for row in flat.reshape(len(nets), -1)]
+
+    def substack(self, k: slice) -> "Mlp":
+        """Members ``k``, a contiguous slice, of a stacked net, as a stacked
+        net viewing their part of ``flat``; it starts with no buffers."""
+        rows = self.flat.reshape(self.n_stacked, -1)[k]
+        return self._new(rows.reshape(-1, copy=False), len(rows))
 
     @property
     def n_layers(self) -> int:
@@ -264,6 +275,12 @@ def _layer_delta(a_in, delta, w, mask, out) -> np.ndarray:
 class Adam:
     """Adam over a list of parameter arrays, updating in place.
 
+    ``lr`` is the learning rate of every entry, or, for a single parameter
+    vector, a sequence of (entries, rate) pairs: slices that cover the
+    vector, each stepping at its own rate.  A step multiplies each slice's
+    scaled first moments by its rate, so it gives the bits of separate
+    optimizers over the slices at a shared step count.
+
     After each step, moment entries below the smallest normal float are set
     to 0.  A parameter whose gradient has stopped (a dead ReLU unit's) has
     moments that decay toward 0 and turn subnormal, and arithmetic on
@@ -273,7 +290,8 @@ class Adam:
     much larger than lr * 2**-72.
     """
 
-    def __init__(self, params: Sequence[np.ndarray], lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: Sequence[np.ndarray], lr: float | Sequence[tuple[slice, float]],
+                 betas=(0.9, 0.999), eps: float = 1e-8):
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -286,6 +304,12 @@ class Adam:
                          for p in params]
         # the flush's threshold, the smallest normal float of each array
         self._tiny = [np.finfo(m.dtype).tiny for m in self.m]
+        # per parameter array, the (start, stop, rate) of its entries
+        if isinstance(lr, numbers.Real):
+            self._rates = [((0, np.size(p), lr),) for p in params]
+        else:
+            (vector,) = params
+            self._rates = [tuple((*entries.indices(vector.size)[:2], rate) for entries, rate in lr)]
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         bias = self._count_step()
@@ -301,8 +325,9 @@ class Adam:
     def _step_part(self, bias: tuple[float, float], i: int, p: np.ndarray, g: np.ndarray,
                    part: Optional[slice] = None) -> None:
         """Step ``p``, the i-th parameter array, with gradient ``g``; only
-        the entries ``part`` of all three when given.  The step is
-        elementwise, so the parts of an array give the bits of the whole."""
+        the entries ``part``, a slice of a 1-D vector, of all three when
+        given.  The step is elementwise, so the parts of an array give the
+        bits of the whole."""
         m, v, (s, r, small) = self.m[i], self.v[i], self._scratch[i]
         if part is not None:
             p, g, m, v, s, r, small = (a[part] for a in (p, g, m, v, s, r, small))
@@ -314,10 +339,28 @@ class Adam:
         v *= b2
         v += np.multiply(1.0 - b2, np.square(g, out=s), out=s)
         # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
-        step = np.multiply(self.lr, np.divide(m, bias1, out=s), out=s)
+        step = np.divide(m, bias1, out=s)
+        rates = self._rates[i]
+        if len(rates) == 1:  # one rate, whatever the part
+            np.multiply(rates[0][2], step, out=step)
+        else:
+            size = self.m[i].size
+            start, stop = (0, size) if part is None else part.indices(size)[:2]
+            step = step.reshape(-1, copy=False)
+            for lo, hi, rate in rates:
+                lo, hi = max(lo, start) - start, min(hi, stop) - start
+                if lo < hi:
+                    np.multiply(rate, step[lo:hi], out=step[lo:hi])
         denom = np.sqrt(np.divide(v, bias2, out=r), out=r)
         denom += self.eps
-        p -= np.divide(step, denom, out=s)
+        p -= np.divide(s, denom, out=s)
+        # the flush multiplies by the mask of entries kept, 1 or 0, and adds
+        # +0.0, which turns the -0.0 of a negative flushed entry into +0.0
+        # (a NaN stays NaN): the bits of writing 0 to the flushed entries,
+        # for every value arithmetic makes, without the masked write, which
+        # ran 2-3x slower than both passes at 32-32 widths
         tiny = self._tiny[i]
-        np.copyto(m, 0, where=np.less(np.abs(m, out=s), tiny, out=small))
-        np.copyto(v, 0, where=np.less(v, tiny, out=small))  # v holds no negatives
+        m *= np.greater_equal(np.abs(m, out=s), tiny, out=small)
+        m += 0.0
+        v *= np.greater_equal(v, tiny, out=small)  # v holds no negatives
+        v += 0.0

@@ -223,12 +223,13 @@ def test_load_networks_restarts_every_optimizer():
     _fill_memory(trainer, 16)
     for _ in range(3):
         trainer.update()
-    optimizers = [trainer.opt_critics, trainer.opt_actor, trainer.opt_temperature]
-    assert [opt.t for opt in optimizers] == [3, 3, 3]
+    optimizers = [trainer.opt_trained, trainer.opt_temperature]
+    assert [opt.t for opt in optimizers] == [3, 3]
     trainer.load_networks(SacNetworks.from_dict(trainer.nets.to_dict(), SMALL_SAC))
-    optimizers = [trainer.opt_critics, trainer.opt_actor, trainer.opt_temperature]
-    assert [opt.t for opt in optimizers] == [0, 0, 0]
-    assert optimizers[0].m[0].size == 2 * trainer.nets.q1.flat.size
+    optimizers = [trainer.opt_trained, trainer.opt_temperature]
+    assert [opt.t for opt in optimizers] == [0, 0]
+    # one optimizer over [actor | q1 | q2]
+    assert optimizers[0].m[0].size == 3 * trainer.nets.q1.flat.size
     for opt in optimizers:
         assert not any(m.any() for m in opt.m) and not any(v.any() for v in opt.v)
 
@@ -249,6 +250,32 @@ def _assert_views_of_flat(net):
     np.testing.assert_array_equal(net.flat, np.arange(offset))
 
 
+# each net's and each stack's first member in SacNetworks' one vector
+# [target_q1 | target_q2 | actor | q1 | q2]
+ONE_VECTOR_LAYOUT = {"target_q1": 0, "target_q2": 1, "actor": 2, "q1": 3, "q2": 4,
+                     "next_state": 0, "trained": 2, "target_critics": 0, "critics": 3}
+
+
+def _assert_views_of_one_vector(nets):
+    """Every named net and stack of ``nets`` views the one vector
+    ``nets.stacked.flat`` at its offset, and so does each layer of each
+    member, at the offset of the plain net of that member.  Overwrites the
+    parameters."""
+    vector, size = nets.stacked.flat, nets.actor.flat.size
+    assert nets.stacked.n_stacked == 5 and vector.size == 5 * size
+    _assert_views_of_flat(nets.stacked.substack(slice(0, 1)))  # flat's own layout, from its start
+    plain = {first: getattr(nets, name) for name, first in ONE_VECTOR_LAYOUT.items() if name in SacNetworks.NETWORKS}
+    for name, first in ONE_VECTOR_LAYOUT.items():
+        net = getattr(nets, name)
+        assert net.flat.ctypes.data == vector.ctypes.data + first * size * vector.itemsize, name
+        assert net.flat.size == max(net.n_stacked, 1) * size and np.shares_memory(net.flat, vector)
+        for k in range(net.n_stacked):
+            for stacked, own in zip(net.parameters(), plain[first + k].parameters()):
+                assert stacked[k].ctypes.data == own.ctypes.data, (name, k)
+    for name in SacNetworks.NETWORKS:
+        _assert_views_of_flat(getattr(nets, name))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_mlp_weights_and_biases_are_views_of_flat(dtype):
     net = Mlp((5, 4, 3, 2), np.random.default_rng(0), dtype)
@@ -264,10 +291,13 @@ def test_mlp_weights_and_biases_are_views_of_flat(dtype):
 def test_loaded_networks_keep_their_views_through_updates():
     trainer = _trainer()
     _fill_memory(trainer, 16)
-    trainer.load_networks(SacNetworks.from_dict(trainer.nets.to_dict(), SMALL_SAC))
+    loaded = SacNetworks.from_dict(trainer.nets.to_dict(), SMALL_SAC)
+    trainer.load_networks(loaded)
+    before = loaded.stacked.flat.copy()
     trainer.update()
-    for name in SacNetworks.NETWORKS:
-        _assert_views_of_flat(getattr(trainer.nets, name))
+    # the update stepped and blended the loaded vector
+    assert trainer.nets is loaded and not np.array_equal(loaded.stacked.flat, before)
+    _assert_views_of_one_vector(trainer.nets)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -317,16 +347,15 @@ def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
         for name in SacNetworks.NETWORKS:
             for got, want in zip(getattr(trainer.nets, name).parameters(), getattr(ref, name).parameters()):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-        # the twins share one optimizer over [q1.flat | q2.flat]: each
-        # member's moments are its half of the joint ones
-        halves = {"q1": slice(None, ref.q1.flat.size), "q2": slice(ref.q1.flat.size, None),
-                  "actor": slice(None)}
+        # the three nets share one optimizer over [actor | q1 | q2]: each
+        # net's moments are its range of the joint ones
+        size = ref.actor.flat.size
+        ranges = {name: slice(k * size, (k + 1) * size) for k, name in enumerate(("actor", "q1", "q2"))}
+        flat_opt = trainer.opt_trained
         for name, opt in opts.items():
-            flat_opt = trainer.opt_actor if name == "actor" else trainer.opt_critics
             assert flat_opt.t == opt.t
-            half = halves[name]
-            assert np.array_equal(flat_opt.m[0][half], np.concatenate([m.ravel() for m in opt.m]))
-            assert np.array_equal(flat_opt.v[0][half], np.concatenate([v.ravel() for v in opt.v]))
+            assert np.array_equal(flat_opt.m[0][ranges[name]], np.concatenate([m.ravel() for m in opt.m]))
+            assert np.array_equal(flat_opt.v[0][ranges[name]], np.concatenate([v.ravel() for v in opt.v]))
 
 
 # -- stacked twin critics --------------------------------------------------
@@ -347,30 +376,53 @@ def _bits(a):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rows", [1, 64, 1024])
 def test_stacked_passes_equal_each_members_own_pass_bit_for_bit(dtype, rows):
-    # 1,024 rows at the paper's widths is training's case, where the
-    # trainer runs each member's pass on its own lane
+    """Stacks of two, three and five members, and a contiguous slice of
+    the five, as SacNetworks views its stacks, give each member's own bits
+    forward and backward; so does a pass on one member's views of a stack,
+    as the two lanes run them (an int index, so no view is strided)."""
+    # 1,024 rows at the paper's widths is training's case
     dims = PAPER_DIMS if rows == 1024 else (7, 16, 8, 3)
-    nets = _twins(dtype, dims)
-    stacked, members = Mlp.stack(nets)
-    rng = np.random.default_rng(6)
+    rng = np.random.default_rng(5)
+    nets = [Mlp(dims, rng, dtype) for _ in range(5)]
     x = rng.normal(size=(rows, dims[0]))
-    grad_out = rng.normal(size=(2, rows, dims[-1]))
+    grad_out = rng.normal(size=(5, rows, dims[-1]))
     # batch 1 goes in as one 1-D state, as select_action passes it
-    out, cache = stacked.forward_cached(x[0] if rows == 1 else x)
-    assert out.shape == (2, rows, dims[-1])
-    own_passes = [own.forward_cached(x[0] if rows == 1 else x) for own in nets]
-    for j, (own_out, own_cache) in enumerate(own_passes):
-        assert _bits(out[j]) == _bits(own_out)
-        assert _bits(cache[0]) == _bits(own_cache[0])
-        for got, want in zip(cache[1:], own_cache[1:]):
-            assert _bits(got[j]) == _bits(want)
-    # backward consumes its cache, so the caches are compared before it runs
-    grads = stacked.backward(cache, grad_out)
-    for j, (own, (_, own_cache)) in enumerate(zip(nets, own_passes)):
-        for (dw, db), (own_dw, own_db) in zip(grads, own.backward(own_cache, grad_out[j])):
-            assert _bits(dw[j]) == _bits(own_dw) and _bits(db[j]) == _bits(own_db)
-        assert _bits(members[j].forward(x)) == _bits(own.forward(x))
+    x_in = x[0] if rows == 1 else x
+    own = []  # each net's own output, cache and gradients
+    for j, net in enumerate(nets):
+        out, cache = net.forward_cached(x_in)
+        kept = [_bits(a) for a in cache]  # backward consumes its cache
+        own.append((_bits(out), kept, [(_bits(dw), _bits(db)) for dw, db in net.backward(cache, grad_out[j])]))
+    five, _ = Mlp.stack(nets)
+    stacks = [(Mlp.stack(nets[:2]), range(2)), (Mlp.stack(nets[:3]), range(3)), ((five, None), range(5))]
+    for stacked, members in [(s, m) for (s, _), m in stacks] + [(five.substack(slice(2, 5)), range(2, 5))]:
+        assert stacked.n_stacked == len(members)
+        out, cache = stacked.forward_cached(x_in)
+        assert out.shape == (len(members), rows, dims[-1])
+        for j, n in enumerate(members):
+            assert _bits(out[j]) == own[n][0]
+            assert _bits(cache[0]) == own[n][1][0]
+            assert [_bits(c[j]) for c in cache[1:]] == own[n][1][1:]
+        grads = stacked.backward(cache, grad_out[members.start:members.stop])
+        for j, n in enumerate(members):
+            assert [(_bits(dw[j]), _bits(db[j])) for dw, db in grads] == own[n][2]
+        # one member's views, in buffers of its own
+        for j, n in enumerate(members):
+            weights, biases = agent._member(stacked, j)
+            hidden = [np.empty((rows, d), stacked.dtype) for d in dims[1:-1]]
+            out, cache = agent._forward(x.astype(stacked.dtype), weights, biases, hidden)
+            assert [_bits(c) for c in cache[1:]] == own[n][1][1:]
+            masks = [np.empty((rows, d), bool) for d in dims[1:-1]]
+            member_grads = agent._backward(cache, grad_out[n].astype(stacked.dtype), weights, masks)
+            assert [(_bits(dw), _bits(db)) for dw, db in member_grads] == own[n][2]
+    # the plain nets that Mlp.stack returns view their members
+    for (_, plain), members in stacks[:2]:
+        for member, n in zip(plain, members):
+            assert _bits(member.forward(x)) == _bits(nets[n].forward(x))
 
+
+# every plain net and every stacked net of SacNetworks
+NETS_AND_STACKS = (*SacNetworks.NETWORKS, "stacked", "next_state", "trained", "critics", "target_critics")
 
 # above the gate at the paper's widths: 128 rows x 105,002 parameters per net
 PAPER_SAC = SacConfig(batch_size=128, memory_capacity=200, warmup_transitions=16)
@@ -384,11 +436,10 @@ def _update_bits(trainer, updates):
     losses = [trainer.update() for _ in range(updates)]
     nets = trainer.nets
     return (np.array(losses).tobytes(),
-            [_bits(net.flat) for net in (nets.actor, nets.critics, nets.target_critics)],
-            [(opt.t, [_bits(a) for a in opt.m + opt.v])
-             for opt in (trainer.opt_critics, trainer.opt_actor, trainer.opt_temperature)],
+            _bits(nets.stacked.flat),
+            [(opt.t, [_bits(a) for a in opt.m + opt.v]) for opt in (trainer.opt_trained, trainer.opt_temperature)],
             nets.log_temperature.hex(),
-            [sorted(net._buffers) for net in (nets.actor, nets.critics, nets.target_critics)])
+            [sorted(getattr(nets, name)._buffers) for name in NETS_AND_STACKS])
 
 
 def test_laned_updates_at_the_papers_widths_equal_serial_updates_bit_for_bit(monkeypatch):
@@ -421,26 +472,35 @@ def test_laned_updates_at_the_papers_widths_equal_serial_updates_bit_for_bit(mon
         assert laned == serial
 
 
-def test_an_update_runs_six_forward_passes_on_two_lanes_and_four_on_one(monkeypatch):
+def test_an_update_runs_six_forward_passes_on_two_lanes_and_two_on_one(monkeypatch):
     """Each loss reads the passes the update began with: the actor on the
     next states and on the states, and the target critics and the critics
-    on theirs, one member per pass on two lanes, the whole stack on one."""
-    real = agent._forward
-    for threaded_work, per_update in ((0, 6), (OUT_OF_REACH, 4)):
-        calls = []
+    on theirs.  On two lanes one member per pass: 6 forward passes, the
+    critics' 2 backward passes (the actor's is split by layer), and Adam
+    steps in 5 parts, each critic's, the actor's two and the temperature's.
+    On one lane a stack per pass: the next-state stack's and the trained
+    stack's forward passes, the trained stack's backward, and 2 Adam parts,
+    the trained vector's and the temperature's."""
+    counted_calls = (("semsample.agent._forward", agent._forward), ("semsample.nets._forward", agent._forward),
+                     ("semsample.agent._backward", agent._backward),
+                     ("semsample.nets.Adam._step_part", Adam._step_part))
+    for threaded_work, per_update in ((0, (6, 2, 5)), (OUT_OF_REACH, (2, 1, 2))):
+        calls = {"_forward": 0, "_backward": 0, "_step_part": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
 
         monkeypatch.setattr(agent, "THREADED_WORK", threaded_work)
         trainer = _trainer()
         _fill_memory(trainer, 16)
-        monkeypatch.setattr(agent, "_forward", counted)
-        monkeypatch.setattr("semsample.nets._forward", counted)
+        for target, real in counted_calls:
+            monkeypatch.setattr(target, counting(real.__name__, real))
         for _ in range(3):
             trainer.update()
-        assert len(calls) == 3 * per_update
+        assert tuple(calls.values()) == tuple(3 * n for n in per_update)
         monkeypatch.undo()
 
 
@@ -556,6 +616,16 @@ def test_stacked_net_is_its_members_flats_end_to_end():
     assert clone.n_stacked == 2 and clone.flat.tobytes() == stacked.flat.tobytes()
     assert not np.shares_memory(clone.flat, stacked.flat)
     assert all(np.shares_memory(p, clone.flat) for p in clone.parameters())
+    # a contiguous slice of a stack's members views their part of flat
+    five, plain = Mlp.stack([*nets, *_twins(np.float32), nets[0]])
+    middle = five.substack(slice(1, 4))
+    assert middle.n_stacked == 3 and not middle._buffers
+    assert middle.flat.tobytes() == b"".join(n.flat.tobytes() for n in plain[1:4])
+    assert middle.flat.ctypes.data == plain[1].flat.ctypes.data
+    middle.weights[0][1, 2, 3] = 5.0
+    assert plain[2].weights[0][2, 3] == five.weights[0][2, 2, 3] == 5.0
+    with pytest.raises(ValueError):
+        five.substack(slice(0, 5, 2))  # not contiguous
     with pytest.raises(ValueError):
         Mlp.stack([nets[0], Mlp((7, 16, 3), np.random.default_rng(0))])
     with pytest.raises(ValueError):
@@ -570,10 +640,17 @@ def test_one_adam_step_and_soft_update_on_the_stack_equal_per_member_steps(dtype
     stacked_target, _ = Mlp.stack(targets)
     rng = np.random.default_rng(7)
     grads = [rng.normal(size=n.flat.size).astype(dtype) for n in nets]
-    joint = Adam([stacked.flat], 1e-3)
-    own = [Adam([n.flat], 1e-3) for n in nets]
-    for _ in range(3):
-        joint.step([stacked.flat], [np.concatenate(grads)])
+    # each member's range at its own rate
+    size = nets[0].flat.size
+    joint = Adam([stacked.flat], ((slice(None, size), 1e-3), (slice(size, None), 3e-3)))
+    own = [Adam([n.flat], lr) for n, lr in zip(nets, (1e-3, 3e-3))]
+    for t in range(3):
+        if t == 1:  # in parts, the first across the ranges' boundary
+            bias = joint._count_step()
+            for part in (slice(None, size + 5), slice(size + 5, None)):
+                joint._step_part(bias, 0, stacked.flat, np.concatenate(grads), part)
+        else:
+            joint.step([stacked.flat], [np.concatenate(grads)])
         for opt, net, g in zip(own, nets, grads):
             opt.step([net.flat], [g])
         agent.soft_update(stacked_target, stacked, 0.2)
@@ -588,12 +665,21 @@ def test_one_adam_step_and_soft_update_on_the_stack_equal_per_member_steps(dtype
 def test_sac_critics_are_stacked_and_the_named_twins_view_them():
     nets = SacNetworks(5, SMALL_SAC, np.random.default_rng(0))
     for doc_nets in (nets, SacNetworks.from_dict(nets.to_dict(), SMALL_SAC)):
-        for stacked, twins in ((doc_nets.critics, ("q1", "q2")),
-                               (doc_nets.target_critics, ("target_q1", "target_q2"))):
-            assert stacked.n_stacked == 2
-            assert stacked.flat.tobytes() == b"".join(getattr(doc_nets, t).flat.tobytes() for t in twins)
-            assert all(np.shares_memory(getattr(doc_nets, t).flat, stacked.flat) for t in twins)
+        for stacked, members in ((doc_nets.critics, ("q1", "q2")),
+                                 (doc_nets.target_critics, ("target_q1", "target_q2")),
+                                 (doc_nets.next_state, ("target_q1", "target_q2", "actor")),
+                                 (doc_nets.trained, ("actor", "q1", "q2"))):
+            assert stacked.n_stacked == len(members)
+            assert stacked.flat.tobytes() == b"".join(getattr(doc_nets, t).flat.tobytes() for t in members)
+            assert all(np.shares_memory(getattr(doc_nets, t).flat, stacked.flat) for t in members)
         assert not np.shares_memory(doc_nets.critics.flat, doc_nets.target_critics.flat)
+        # a write through a plain net shows in every stack that holds it
+        doc_nets.q1.weights[1][2, 3] = 7.0
+        assert doc_nets.critics.weights[1][0, 2, 3] == doc_nets.trained.weights[1][1, 2, 3] == 7.0
+        assert doc_nets.stacked.weights[1][3, 2, 3] == 7.0
+        doc_nets.trained.biases[0][0, 0, 4] = -3.0
+        assert doc_nets.actor.biases[0][4] == doc_nets.next_state.biases[0][2, 0, 4] == -3.0
+        _assert_views_of_one_vector(doc_nets)
 
 
 # -- packed snapshot -------------------------------------------------------
@@ -617,9 +703,19 @@ def test_every_snapshot_net_reads_back_bit_for_bit_the_stacked_members_too():
     doc = json.loads(json.dumps(trainer.nets.to_dict()))
     assert doc["version"] == 2
     loaded = SacNetworks.from_dict(doc, SMALL_SAC)
-    for name in SacNetworks.NETWORKS:  # q1 and target_q2 are views of stacked nets
+    for name in SacNetworks.NETWORKS:  # every net is a view of the one vector
         assert _bits(getattr(loaded, name).flat) == _bits(getattr(trainer.nets, name).flat)
     assert loaded.log_temperature == trainer.nets.log_temperature
+    # the document of nets that each own their parameters, in the keys'
+    # order: the views pack the same bytes
+    nets = trainer.nets
+    own = {name: getattr(nets, name).copy() for name in SacNetworks.NETWORKS}
+    assert all(own[name].n_stacked == 0 and own[name].flat.base is None for name in own)
+    want = {"format": "semsample-sac-snapshot", "version": 2, "package_version": agent._pkg_version,
+            "state_dim": nets.state_dim, "widths": list(SMALL_SAC.widths), "dtype": SMALL_SAC.dtype,
+            "log_temperature": nets.log_temperature, **{name: own[name].to_arrays() for name in SacNetworks.NETWORKS}}
+    assert json.dumps(nets.to_dict()) == json.dumps(want)
+    assert json.dumps(loaded.to_dict()) == json.dumps(want)
 
 
 def test_a_float32_net_read_as_float64_gets_the_float32_values_exactly():
@@ -684,10 +780,14 @@ def test_a_warm_update_shares_the_critics_buffers_and_keeps_no_deltas():
     for _ in range(2):
         trainer.update()
     nets = trainer.nets
+    # every pass of an update runs in the trained stack's buffers, which
+    # the next-state stack shares, as the target critics share the critics'
+    assert nets.next_state._buffers is nets.trained._buffers
     assert nets.target_critics._buffers is nets.critics._buffers
-    assert set(nets.critics._buffers) == {("act", 16), ("mask", 16)}
-    for name in ("actor", "critics", "target_critics", *SacNetworks.NETWORKS[1:]):
-        assert {kind for kind, _ in getattr(nets, name)._buffers} <= {"act", "mask"}, name
+    buffer_sets = [key for buffers in {id(getattr(nets, name)._buffers): getattr(nets, name)._buffers
+                                       for name in NETS_AND_STACKS}.values() for key in buffers]
+    assert sorted(buffer_sets) == [("act", 16), ("mask", 16)]
+    assert set(nets.trained._buffers) == {("act", 16), ("mask", 16)}
 
 
 def test_adam_flushes_subnormal_moments_after_a_textbook_step():
@@ -709,7 +809,8 @@ def test_adam_flushes_subnormal_moments_after_a_textbook_step():
         assert _bits(params[0]) == _bits(ref)
         for got, want in ((opt.m[0], m), (opt.v[0], v)):
             assert not np.any((got != 0) & (np.abs(got) < tiny))
-            assert np.array_equal(got, np.where(np.abs(want) < tiny, 0, want))
+            # a flushed negative entry reads +0.0, as a written 0 does
+            assert _bits(got) == _bits(np.where(np.abs(want) < tiny, dtype(0), want))
 
 
 def test_adam_equals_the_textbook_step_with_fresh_temporaries_bit_for_bit():

@@ -291,6 +291,45 @@ def test_the_manifest_records_the_blas_thread_count_the_run_had(tmp_path):
     assert json.loads((tmp_path / "train" / "manifest.json").read_text())["blas"]["threads"] == 1
 
 
+def test_a_two_lane_train_runs_at_half_the_cpus_unless_openblas_num_threads_is_set(tmp_path):
+    """With no OPENBLAS_NUM_THREADS, a train whose trainer has two lanes (the
+    default widths and batch) sets OpenBLAS to max(1, cpu_count // 2)
+    threads, and its manifest records that count; the variable's own count
+    wins, and a one-lane train (32-32 widths) keeps the default.  Each run
+    is a fresh interpreter, which first reports the count it loaded with,
+    and makes no update: its warm-up is longer than its one episode."""
+    src = Path(cli.__file__).resolve().parents[1]
+    default_widths = {"predictor": {"grid_width": 24, "grid_height": 16}, "episode": {"steps": 12},
+                      "training": {"episodes": 1}}
+    one_lane = {**default_widths, "agent": {"widths": [32, 32], "batch_size": 64, "warmup_transitions": 64}}
+    for agent_doc, lanes in (({}, 2), (one_lane["agent"], 1)):
+        sac = dataclasses.replace(agent.SacConfig(), **{k: tuple(v) if k == "widths" else v
+                                                        for k, v in agent_doc.items()})
+        dims = (agent.StateScaling().state_dim, *sac.widths, agent.SacNetworks.N_ACTIONS)
+        work = sac.batch_size * sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+        assert (work > agent.THREADED_WORK) == (lanes == 2)
+        assert default_widths["episode"]["steps"] < sac.warmup_transitions
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    for name, doc, variable in (("two", default_widths, None), ("two_set", default_widths, "2"),
+                                ("one", one_lane, None)):
+        config = _write(tmp_path / f"{name}.json", doc)
+        out = tmp_path / name
+        script = ("import json, os, sys; import semsample.cli as cli; "
+                  "print(json.dumps([cli._blas_threads(), cli._openblas_function('set') is not None])); "
+                  f"sys.exit(cli.main(['train', '--config', {config!r}, '--out', {str(out)!r}]))")
+        run_env = env if variable is None else {**env, "OPENBLAS_NUM_THREADS": variable}
+        done = subprocess.run([sys.executable, "-c", script], env=run_env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        loaded_with, has_setter = json.loads(done.stdout.splitlines()[0])
+        recorded = json.loads((out / "manifest.json").read_text())["blas"]["threads"]
+        if name == "two" and has_setter:
+            assert recorded == max(1, os.cpu_count() // 2)
+        else:
+            assert recorded == loaded_with
+
+
 @pytest.mark.parametrize("level", ["bogus", "", "10"])
 def test_a_log_level_that_logging_does_not_know_gives_exit_2(capsys, monkeypatch, level):
     monkeypatch.setenv("SEMSAMPLE_LOG", level)

@@ -15,6 +15,12 @@ probabilities and log pi (Christodoulou 2019), so an update runs each net
 forward once per batch it reads, six passes in all, and the policy's
 log-softmax once per batch.
 
+Each loss is a core, a private function of the nets' outputs that returns
+the loss and its gradient at those outputs.  The public
+``critic_loss_and_grads``, ``actor_loss_and_grads`` and
+``temperature_loss_and_grad`` run the nets' passes, the core and the
+net's backward; they are the reference the trainer is tested against.
+
 All five nets live in one parameter vector, ``[target_q1 | target_q2 |
 actor | q1 | q2]``, so the actor and the twins, which share one shape,
 run as stacked nets (see :class:`SacNetworks`): both targets and the actor
@@ -41,6 +47,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from . import __version__ as _pkg_version
+from .ingest import MAX_CLIP_FRAMES
 from .layout import MAX_VEHICLES, RECORD_BITS
 from .nets import Adam, Mlp, _backward, _forward, _layer_delta, _layer_grads
 
@@ -138,6 +145,10 @@ class StateScaling:
     def __post_init__(self):
         if self.window < 0:
             raise ValueError(f"window must be >= 0, got {self.window!r}")
+        # an episode runs at most MAX_CLIP_FRAMES steps, so a longer window
+        # would only ever hold zero padding
+        if self.window > MAX_CLIP_FRAMES:
+            raise ValueError(f"window must be <= {MAX_CLIP_FRAMES}, the longest clip, got {self.window!r}")
         if not 0 < self.chi_cap < math.inf:
             raise ValueError(f"chi_cap must be > 0, got {self.chi_cap!r}")
 
@@ -411,96 +422,86 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
-# The loss functions below take, as optional arguments, what a caller has
-# already computed from the same weights: a ``next_policy`` is the (logits,
-# cache) pair of ``nets.actor.forward_cached`` on the next states; ``terms``
-# are the (probs, log pi, cache) that :func:`_policy_terms` makes of the
-# actor's pass on the states, which the actor and the temperature losses
-# share; ``q`` and ``next_q`` are the critics' and the target critics'
-# outputs; a ``backward(cache, grad_out)`` takes the place of the net's own
-# ``backward``.  Trainer.update runs the passes on its lanes; its backward
-# only keeps the output delta, and it runs the backward of both losses
-# once both have returned.
-
-def _policy_terms(nets: SacNetworks, states: np.ndarray, policy=None):
-    """(probs, log pi, cache) of the actor's pass on ``states``: of
-    ``policy``, its (logits, cache), when given."""
-    logits, cache = nets.actor.forward_cached(states) if policy is None else policy
+def _policy_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, log pi) of the actor's logits."""
     logp = log_softmax(logits)
-    probs = np.exp(logp)
-    return probs, logp, cache
+    return np.exp(logp), logp
 
 
-def critic_targets(nets: SacNetworks, batch: Batch, *, next_policy=None, next_q=None) -> np.ndarray:
-    """Soft Bellman targets: reward plus the entropy-regularized value of the
-    next state under the current policy and the min of the target critics.
-    ``next_q`` is the target critics' output on the next states."""
-    probs, logp, _ = _policy_terms(nets, batch.next_states, next_policy)
-    q1_next, q2_next = nets.target_critics.forward(batch.next_states) if next_q is None else next_q
-    q_next = np.minimum(q1_next, q2_next)
+def _critic_loss(nets: SacNetworks, batch: Batch, q: np.ndarray, next_q: np.ndarray,
+                 next_logits: np.ndarray) -> tuple[float, np.ndarray]:
+    """Half mean squared Bellman error of both critics' outputs ``q``
+    against shared soft Bellman targets: the reward plus the
+    entropy-regularized value of the next state under the policy's
+    ``next_logits`` and the min of the target critics' ``next_q``.
+    Returns the sum of the two losses and its gradient at ``q``; the
+    targets are constants."""
+    probs, logp = _policy_terms(next_logits)
+    q_next = np.minimum(next_q[0], next_q[1])
     v_next = np.add.reduce(probs * (q_next - nets.temperature * logp), axis=1)
     cont = (~batch.terminals).astype(v_next.dtype)
-    return batch.rewards + nets.config.gamma * cont * v_next
-
-
-def critic_loss_and_grads(nets: SacNetworks, batch: Batch, *, next_policy=None, next_q=None,
-                          q=None, backward: Optional[Callable] = None):
-    """Half mean squared Bellman error for both critics (shared targets).
-
-    Returns (loss, grads_q1, grads_q2); the loss is the sum of the two
-    critic losses and targets are treated as constants.  Both critics make
-    one stacked forward and one stacked backward pass.  ``next_policy`` and
-    ``next_q`` go to :func:`critic_targets`; ``q`` is the critics'
-    ``forward_cached`` pair on the states.
-    """
-    y = critic_targets(nets, batch, next_policy=next_policy, next_q=next_q)
-    n = batch.states.shape[0]
+    y = batch.rewards + nets.config.gamma * cont * v_next
+    n = len(batch.actions)
     rows = np.arange(n)
-    out, cache = nets.critics.forward_cached(batch.states) if q is None else q
-    diff = out[:, rows, batch.actions] - y
+    diff = q[:, rows, batch.actions] - y
     loss = 0.0
     for d in diff:  # per critic: one reduce of both along axis 1 rounds differently
         loss += float(0.5 * (np.add.reduce(d**2) / n))
-    d_out = np.zeros_like(out)
-    d_out[:, rows, batch.actions] = diff / n
-    grads = (backward or nets.critics.backward)(cache, d_out)
+    d_q = np.zeros_like(q)
+    d_q[:, rows, batch.actions] = diff / n
+    return loss, d_q
+
+
+def _actor_loss(nets: SacNetworks, probs: np.ndarray, logp: np.ndarray,
+                q: np.ndarray) -> tuple[float, np.ndarray]:
+    """Expected (temperature * log pi - min Q) under the policy, the
+    expectation over the two actions computed exactly.  Returns the loss
+    and its gradient at the actor's logits; the critics' ``q`` are
+    constants."""
+    q_min = np.minimum(q[0], q[1])
+    f = nets.temperature * logp - q_min
+    per_state = np.add.reduce(probs * f, axis=1, keepdims=True)
+    n = len(probs)
+    loss = float(np.add.reduce(per_state, axis=None) / n)
+    # d/dlogits of sum_a pi_a (T log pi_a - Q_a) = pi_b (f_b - E_pi[f])
+    return loss, probs * (f - per_state) / n
+
+
+def _temperature_loss(nets: SacNetworks, probs: np.ndarray, logp: np.ndarray,
+                      target_entropy: float) -> tuple[float, float]:
+    """Temperature loss T * (H(pi) - target H), pi a constant.  Returns the
+    loss and its gradient w.r.t. log T, which is the loss itself;
+    descending on the log keeps the temperature positive."""
+    entropy = float(-(np.add.reduce(np.add.reduce(probs * logp, axis=1)) / len(probs)))
+    loss = nets.temperature * (entropy - target_entropy)
+    return loss, loss
+
+
+def critic_loss_and_grads(nets: SacNetworks, batch: Batch):
+    """The critic loss (see :func:`_critic_loss`) and its gradients.
+
+    Returns (loss, grads_q1, grads_q2).  Both critics make one stacked
+    forward and one stacked backward pass.
+    """
+    next_logits = nets.actor.forward(batch.next_states)
+    next_q = nets.target_critics.forward(batch.next_states)
+    q, cache = nets.critics.forward_cached(batch.states)
+    loss, d_q = _critic_loss(nets, batch, q, next_q, next_logits)
+    grads = nets.critics.backward(cache, d_q)
     return loss, [(dw[0], db[0]) for dw, db in grads], [(dw[1], db[1]) for dw, db in grads]
 
 
-def actor_loss_and_grads(nets: SacNetworks, batch: Batch, *, terms=None, q=None,
-                         backward: Optional[Callable] = None):
-    """Expected (temperature * log pi - min Q) under the policy, with the
-    expectation over the two actions computed exactly.  Critics are constant.
-    ``q`` is the critics' output on the states; :class:`Trainer` passes the
-    critic loss's own, from before the critics' step.
-    """
-    probs, logp, cache = _policy_terms(nets, batch.states) if terms is None else terms
-    q1, q2 = nets.critics.forward(batch.states) if q is None else q
-    q_min = np.minimum(q1, q2)
-    f = nets.temperature * logp - q_min
-    per_state = np.add.reduce(probs * f, axis=1, keepdims=True)
-    n = batch.states.shape[0]
-    loss = float(np.add.reduce(per_state, axis=None) / n)
-    # d/dlogits of sum_a pi_a (T log pi_a - Q_a) = pi_b (f_b - E_pi[f])
-    d_logits = probs * (f - per_state) / n
-    grads = (backward or nets.actor.backward)(cache, d_logits)
-    return loss, grads
+def actor_loss_and_grads(nets: SacNetworks, batch: Batch):
+    """The actor loss (see :func:`_actor_loss`) and the actor's gradients."""
+    logits, cache = nets.actor.forward_cached(batch.states)
+    loss, d_logits = _actor_loss(nets, *_policy_terms(logits), nets.critics.forward(batch.states))
+    return loss, nets.actor.backward(cache, d_logits)
 
 
-def temperature_loss_and_grad(nets: SacNetworks, batch: Batch, target_entropy: float, *, terms=None):
-    """Temperature loss T * (H(pi) - target H), pi treated as constant.
-
-    Returns (loss, gradient w.r.t. log temperature); descending on the log
-    keeps the temperature positive.  :class:`Trainer` passes the actor
-    loss's own ``terms``, from its pass before the actor's step.
-    """
-    probs, logp, _ = _policy_terms(nets, batch.states) if terms is None else terms
-    n = batch.states.shape[0]
-    entropy = float(-(np.add.reduce(np.add.reduce(probs * logp, axis=1)) / n))
-    theta = nets.temperature
-    loss = theta * (entropy - target_entropy)
-    grad_log_theta = theta * (entropy - target_entropy)
-    return loss, grad_log_theta
+def temperature_loss_and_grad(nets: SacNetworks, batch: Batch, target_entropy: float):
+    """The temperature loss (see :func:`_temperature_loss`) of the actor's
+    policy on the states, and its gradient w.r.t. log temperature."""
+    return _temperature_loss(nets, *_policy_terms(nets.actor.forward(batch.states)), target_entropy)
 
 
 # soft_update blends in blocks of this many values, so its temporary
@@ -651,8 +652,9 @@ class Trainer:
        critic k, and the actor runs on the next states on lane 0 and on
        the states on lane 1.
 
-       The critic and actor losses then give the output delta ``[d_logits;
-       d_q1; d_q2]``; nothing in them reads a net's new parameters.
+       The phase ends with the critic and actor loss cores, which map the
+       outputs to the output delta ``[d_logits; d_q1; d_q2]``; nothing in
+       them reads a net's new parameters.
     2. The backward, the Adam step and the soft update.  On one lane, one
        backward of the trained stack into the flat gradient, one step of
        the whole vector and one blend of both targets.  On two, lane k runs
@@ -665,8 +667,8 @@ class Trainer:
        and steps that layer's entries of the actor's range while lane 1
        steps the rest.  On one lane the phase has no member.
 
-    The temperature loss then takes the probabilities and log pi that the
-    actor loss computed from the actor's pass on the states in phase 1.
+    The temperature loss core then takes the probabilities and log pi that
+    the actor loss core read, of the actor's pass on the states in phase 1.
 
     A member's pass makes the BLAS calls of its part of the stacked pass,
     and a step is elementwise, so two lanes give the bits of one; no pass
@@ -710,11 +712,11 @@ class Trainer:
         # actor's and the critics' rates equals a step on each net with its
         # own rate and the shared step count
         actor = self.nets.actor.flat.size
-        self.opt_trained = Adam([trained.flat], ((slice(None, actor), cfg.actor_lr),
-                                                 (slice(actor, None), cfg.critic_lr)))
+        self.opt_trained = Adam(trained.flat, ((slice(None, actor), cfg.actor_lr),
+                                               (slice(actor, None), cfg.critic_lr)))
         # the log temperature stays a float on the networks; its optimizer
         # steps a 0-d copy of it
-        self.opt_temperature = Adam([np.zeros(())], cfg.temperature_lr)
+        self.opt_temperature = Adam(np.zeros(()), cfg.temperature_lr)
         # the gradient vector of the step, laid out as trained.flat, and its
         # layers as views of it, which the backward fills
         self._grad = np.empty_like(trained.flat)
@@ -733,10 +735,10 @@ class Trainer:
         """One gradient step on a sampled batch; returns the three losses."""
         cfg = self.config
         batch = self.memory.sample(cfg.batch_size, np.dtype(cfg.dtype))
-        c_loss, a_loss, terms = self._critics_and_actor_on_lanes(batch)
-        t_loss, g_log_t = temperature_loss_and_grad(self.nets, batch, cfg.target_entropy, terms=terms)
+        c_loss, a_loss, (probs, logp) = self._critics_and_actor_on_lanes(batch)
+        t_loss, g_log_t = _temperature_loss(self.nets, probs, logp, cfg.target_entropy)
         log_t = np.array(self.nets.log_temperature)
-        self.opt_temperature.step([log_t], [np.array(g_log_t)])
+        self.opt_temperature.step(log_t, np.array(g_log_t))
         self.nets.log_temperature = float(log_t)
         self.gradient_steps += 1
         if not (math.isfinite(c_loss) and math.isfinite(a_loss) and math.isfinite(t_loss)):
@@ -749,7 +751,8 @@ class Trainer:
     def _critics_and_actor_on_lanes(self, batch: Batch) -> tuple[float, float, tuple]:
         """Phases 1-3 of an update (see the class docstring): the critics'
         and the actor's losses and steps, and the soft update.  Returns the
-        critic and actor losses and the actor loss's policy terms."""
+        critic and actor losses and the (probs, log pi) the actor loss
+        read."""
         nets, lanes, tau = self.nets, self._lanes, self.config.tau
         trained, critics, targets = nets.trained, nets.critics, nets.target_critics
         states = batch.states
@@ -768,20 +771,13 @@ class Trainer:
         lanes.run(partial(forwards, 0), partial(forwards, 1))
 
         next_out, out = outs
-        cache = [states, *hidden, out]
         opt, grad, grads = self.opt_trained, self._grad, self._grads
-        # the output delta [d_logits; d_q1; d_q2]: each loss's backward only
-        # keeps its part, and phases 2 and 3 run the backward
+        # the output delta [d_logits; d_q1; d_q2], which phases 2 and 3
+        # pass back
         delta = np.empty_like(out)
-
-        def keep(k: int | slice, _cache: list, grad_out: np.ndarray) -> list:
-            delta[k] = grad_out
-            return [(dw[k], db[k]) for dw, db in grads]
-
-        c_loss, _, _ = critic_loss_and_grads(nets, batch, next_policy=(next_out[2], None), next_q=next_out[:2],
-                                             q=(out[1:], cache), backward=partial(keep, slice(1, None)))
-        terms = _policy_terms(nets, states, (out[0], cache))
-        a_loss, _ = actor_loss_and_grads(nets, batch, terms=terms, q=out[1:], backward=partial(keep, 0))
+        c_loss, delta[1:] = _critic_loss(nets, batch, out[1:], next_out[:2], next_out[2])
+        terms = _policy_terms(out[0])
+        a_loss, delta[0] = _actor_loss(nets, *terms, out[1:])
 
         bias = opt._count_step()
 
@@ -789,7 +785,7 @@ class Trainer:
             for k, c in lanes.backwards[lane]:
                 _backward([states, *(h[k] for h in hidden)], delta[k], _member(trained, k)[0],
                           [m[k] for m in masks], [(dw[k], db[k]) for dw, db in grads])
-                opt._step_part(bias, 0, trained.flat, grad, _entries(trained, k))
+                opt._step_part(bias, trained.flat, grad, _entries(trained, k))
                 part = _entries(critics, c)
                 _blend(targets.flat[part], critics.flat[part], tau)
 
@@ -797,7 +793,7 @@ class Trainer:
 
         def first_layer_and_step(d: np.ndarray, layer_grads: tuple, part: slice) -> None:
             _layer_grads(states, d, *layer_grads)
-            opt._step_part(bias, 0, trained.flat, grad, part)
+            opt._step_part(bias, trained.flat, grad, part)
 
         for k, slot in lanes.split:
             weights = _member(trained, k)[0]
@@ -813,7 +809,7 @@ class Trainer:
             member = _entries(trained, k)
             cut = member.start + weights[0].size + weights[0].shape[-1]
             lanes.run(partial(first_layer_and_step, d, member_grads[0], slice(member.start, cut)),
-                      partial(opt._step_part, bias, 0, trained.flat, grad, slice(cut, member.stop)))
+                      partial(opt._step_part, bias, trained.flat, grad, slice(cut, member.stop)))
         return c_loss, a_loss, terms
 
     def _decide(self, features: np.ndarray, t: int) -> int:

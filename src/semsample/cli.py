@@ -201,7 +201,10 @@ def _read_snapshot(path: str, resolved: dict) -> tuple[SacNetworks, dict]:
     differ from the config's raises ``ConfigError``, since its networks were
     trained on differently scaled features.
     """
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"snapshot {path} nests too deeply to read") from exc
     nets = SacNetworks.from_dict(doc, build_sac_config(resolved))
     snap_state = doc.get("state")
     if snap_state is not None and snap_state != resolved["state"]:

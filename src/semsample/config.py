@@ -183,6 +183,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {p} nests too deeply to read") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return _merge(default_config(), doc)

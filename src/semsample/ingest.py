@@ -54,7 +54,9 @@ MAX_FRAME_GAP = 1000
 # still lets 200 frames 1,000 apart expand into a 199,001-frame clip.
 # 20,000 frames is 13 min 20 s at 25 fps, several times the length of a
 # UA-DETRAC sequence (a few thousand frames at most), yet small enough that
-# an adversarial document costs a fraction of a second and a few MiB.
+# an adversarial document costs a fraction of a second and a few MiB.  The
+# clip JSON reader and the traffic generator take no longer clip, so no
+# episode runs past it.
 MAX_CLIP_FRAMES = 20_000
 
 
@@ -248,12 +250,17 @@ def clip_to_json(clip: FootageClip) -> str:
 
 
 def parse_clip_json(text: str) -> FootageClip:
-    """Load a clip from the native JSON format."""
+    """Load a clip of at most ``MAX_CLIP_FRAMES`` frames from the native
+    JSON format."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ClipParseError(f"malformed clip JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ClipParseError("clip JSON nests too deeply to read") from exc
     try:
+        if len(doc["frames"]) > MAX_CLIP_FRAMES:
+            raise ValueError(f"{len(doc['frames'])} frames, past the cap of {MAX_CLIP_FRAMES}")
         frames = tuple(
             SceneAnnotation(
                 frame_index=i,
@@ -340,9 +347,10 @@ def generate_traffic(config: TrafficGenConfig, num_frames: int, name: Optional[s
     Vehicles enter at the frame edge, move with a per-vehicle constant speed
     plus bounded per-step jitter, and despawn once fully out of frame.
     Track ids are never reused.  Output is deterministic for a given config.
+    ``num_frames`` is at most ``MAX_CLIP_FRAMES``.
     """
-    if num_frames < 0:
-        raise ValueError("num_frames must be >= 0")
+    if not 0 <= num_frames <= MAX_CLIP_FRAMES:
+        raise ValueError(f"num_frames must be in [0, {MAX_CLIP_FRAMES}], got {num_frames}")
     rng = np.random.default_rng(config.seed)
     n_lanes = 2 * config.lanes
     band = 1.0 / n_lanes

@@ -14,8 +14,8 @@ q2.flat]`` for two, and the members are returned as views into it, so Adam
 and the soft update step all of them in one pass.  A contiguous slice of
 the members is a stacked net of its own over their part of ``flat``
 (:meth:`Mlp.substack`), so one vector can hold several stacks that
-overlap.  One Adam can step members at different learning rates, each on
-its range of the vector.
+overlap.  :class:`Adam` steps one array, such as that vector, and can
+step members at different learning rates, each on its range of it.
 
 Every pass here is serial and starts no thread.  The trainer runs each
 SAC update on one lane, its own thread, or at the paper's widths on two,
@@ -273,13 +273,13 @@ def _layer_delta(a_in, delta, w, mask, out) -> np.ndarray:
 
 
 class Adam:
-    """Adam over a list of parameter arrays, updating in place.
+    """Adam over one parameter array, updating it in place.
 
-    ``lr`` is the learning rate of every entry, or, for a single parameter
-    vector, a sequence of (entries, rate) pairs: slices that cover the
-    vector, each stepping at its own rate.  A step multiplies each slice's
-    scaled first moments by its rate, so it gives the bits of separate
-    optimizers over the slices at a shared step count.
+    ``lr`` is the learning rate of every entry, or, for a 1-D vector, a
+    sequence of (entries, rate) pairs: slices that cover the vector, each
+    stepping at its own rate.  A step multiplies each slice's scaled first
+    moments by its rate, so it gives the bits of separate optimizers over
+    the slices at a shared step count.
 
     After each step, moment entries below the smallest normal float are set
     to 0.  A parameter whose gradient has stopped (a dead ReLU unit's) has
@@ -290,31 +290,26 @@ class Adam:
     much larger than lr * 2**-72.
     """
 
-    def __init__(self, params: Sequence[np.ndarray], lr: float | Sequence[tuple[slice, float]],
+    def __init__(self, param: np.ndarray, lr: float | Sequence[tuple[slice, float]],
                  betas=(0.9, 0.999), eps: float = 1e-8):
-        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        # per parameter array, two scratch arrays in place of fresh
-        # temporaries and one for the flush's mask
-        self._scratch = [(np.empty_like(p), np.empty_like(p), np.empty(np.shape(p), bool))
-                         for p in params]
-        # the flush's threshold, the smallest normal float of each array
-        self._tiny = [np.finfo(m.dtype).tiny for m in self.m]
-        # per parameter array, the (start, stop, rate) of its entries
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+        # two scratch arrays in place of fresh temporaries and one for the
+        # flush's mask
+        self._scratch = (np.empty_like(param), np.empty_like(param), np.empty(np.shape(param), bool))
+        # the flush's threshold, the smallest normal float
+        self._tiny = np.finfo(self.m.dtype).tiny
+        # the (start, stop, rate) of each range of entries
         if isinstance(lr, numbers.Real):
-            self._rates = [((0, np.size(p), lr),) for p in params]
+            self._rates = ((0, self.m.size, lr),)
         else:
-            (vector,) = params
-            self._rates = [tuple((*entries.indices(vector.size)[:2], rate) for entries, rate in lr)]
+            self._rates = tuple((*entries.indices(self.m.size)[:2], rate) for entries, rate in lr)
 
-    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
-        bias = self._count_step()
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self._step_part(bias, i, p, g)
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        self._step_part(self._count_step(), p, g)
 
     def _count_step(self) -> tuple[float, float]:
         """Count one step; returns its bias corrections for
@@ -322,13 +317,12 @@ class Adam:
         self.t += 1
         return 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
 
-    def _step_part(self, bias: tuple[float, float], i: int, p: np.ndarray, g: np.ndarray,
+    def _step_part(self, bias: tuple[float, float], p: np.ndarray, g: np.ndarray,
                    part: Optional[slice] = None) -> None:
-        """Step ``p``, the i-th parameter array, with gradient ``g``; only
-        the entries ``part``, a slice of a 1-D vector, of all three when
-        given.  The step is elementwise, so the parts of an array give the
-        bits of the whole."""
-        m, v, (s, r, small) = self.m[i], self.v[i], self._scratch[i]
+        """Step ``p`` with gradient ``g``; only the entries ``part``, a
+        slice of a 1-D vector, of both when given.  The step is
+        elementwise, so the parts of an array give the bits of the whole."""
+        m, v, (s, r, small) = self.m, self.v, self._scratch
         if part is not None:
             p, g, m, v, s, r, small = (a[part] for a in (p, g, m, v, s, r, small))
         b1, b2 = self.beta1, self.beta2
@@ -340,12 +334,11 @@ class Adam:
         v += np.multiply(1.0 - b2, np.square(g, out=s), out=s)
         # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
         step = np.divide(m, bias1, out=s)
-        rates = self._rates[i]
+        rates = self._rates
         if len(rates) == 1:  # one rate, whatever the part
             np.multiply(rates[0][2], step, out=step)
         else:
-            size = self.m[i].size
-            start, stop = (0, size) if part is None else part.indices(size)[:2]
+            start, stop = (0, self.m.size) if part is None else part.indices(self.m.size)[:2]
             step = step.reshape(-1, copy=False)
             for lo, hi, rate in rates:
                 lo, hi = max(lo, start) - start, min(hi, stop) - start
@@ -359,8 +352,7 @@ class Adam:
         # (a NaN stays NaN): the bits of writing 0 to the flushed entries,
         # for every value arithmetic makes, without the masked write, which
         # ran 2-3x slower than both passes at 32-32 widths
-        tiny = self._tiny[i]
-        m *= np.greater_equal(np.abs(m, out=s), tiny, out=small)
+        m *= np.greater_equal(np.abs(m, out=s), self._tiny, out=small)
         m += 0.0
-        v *= np.greater_equal(v, tiny, out=small)  # v holds no negatives
+        v *= np.greater_equal(v, self._tiny, out=small)  # v holds no negatives
         v += 0.0

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used to check the package's fast paths.
 
 Everything here is deliberately written the slow, obvious way (string bit
-twiddling, pure-python pixel loops, exact rationals) and shares no code with
-the implementations under test.
+twiddling, pure-python pixel loops, exact rationals, per-row loops over
+Python floats) and shares no code with the implementations under test.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -106,3 +107,68 @@ def moment_quadrature(params, n: float) -> float:
 
     val, _ = quad(lambda g: g**n * pdf(params, g), 0.0, np.inf, limit=300)
     return val
+
+
+def policy_oracle(logits: list[float]) -> tuple[list[float], list[float]]:
+    """pi and log pi of one row of logits."""
+    top = max(logits)
+    log_total = top + math.log(sum(math.exp(z - top) for z in logits))
+    logp = [z - log_total for z in logits]
+    return [math.exp(lp) for lp in logp], logp
+
+
+def soft_bellman_targets_oracle(rewards, terminals, next_q1, next_q2, next_logits,
+                                temperature: float, gamma: float) -> list[float]:
+    """y = r + gamma * sum_a pi(a|s') (min(Q1'(s', a), Q2'(s', a)) - T log pi(a|s')),
+    and y = r on a terminal row."""
+    targets = []
+    for r, done, q1, q2, z in zip(rewards, terminals, next_q1, next_q2, next_logits):
+        pi, logp = policy_oracle(z)
+        value = sum(pi[a] * (min(q1[a], q2[a]) - temperature * logp[a]) for a in range(len(z)))
+        targets.append(r if done else r + gamma * value)
+    return targets
+
+
+def critic_loss_oracle(q, actions, targets) -> tuple[float, list]:
+    """The sum over the critics of (1 / 2n) sum_i (Q_k(s_i, a_i) - y_i)^2,
+    and its gradient at each critic's outputs, 0 off the taken actions."""
+    n = len(actions)
+    loss, grad = 0.0, []
+    for qk in q:
+        loss += sum((row[a] - y) ** 2 for row, a, y in zip(qk, actions, targets)) / (2 * n)
+        grad.append([[(row[b] - y) / n if b == a else 0.0 for b in range(len(row))]
+                     for row, a, y in zip(qk, actions, targets)])
+    return loss, grad
+
+
+def actor_loss_oracle(logits, q1, q2, temperature: float) -> tuple[float, list]:
+    """(1/n) sum_i sum_a pi_a f_a, f_a = T log pi_a - min(Q1_a, Q2_a), and its
+    gradient at the logits by the chain rule through the softmax:
+    d pi_a / d z_c = pi_a (delta_ac - pi_c), d log pi_a / d z_c = delta_ac - pi_c."""
+    n = len(logits)
+    loss, grad = 0.0, []
+    for z, r1, r2 in zip(logits, q1, q2):
+        pi, logp = policy_oracle(z)
+        k = len(z)
+        f = [temperature * logp[a] - min(r1[a], r2[a]) for a in range(k)]
+        loss += sum(pi[a] * f[a] for a in range(k)) / n
+        row = []
+        for c in range(k):
+            total = 0.0
+            for a in range(k):
+                d_logp = (1.0 if a == c else 0.0) - pi[c]
+                total += pi[a] * d_logp * f[a] + pi[a] * temperature * d_logp
+            row.append(total / n)
+        grad.append(row)
+    return loss, grad
+
+
+def temperature_loss_oracle(logits, temperature: float, target_entropy: float) -> tuple[float, float]:
+    """T (H - target H), H the policy's entropy averaged over the rows, and
+    its derivative with respect to log T, which is T times that w.r.t. T."""
+    entropy = 0.0
+    for z in logits:
+        pi, logp = policy_oracle(z)
+        entropy -= sum(p * lp for p, lp in zip(pi, logp))
+    entropy /= len(logits)
+    return temperature * (entropy - target_entropy), temperature * (entropy - target_entropy)

@@ -28,6 +28,8 @@ from semsample.nets import Adam, Mlp
 from semsample.predictor import PredictorConfig
 from semsample.simulator import EpisodeConfig, SamplingEnv
 
+import oracles
+
 
 def test_state_features_scale_bits_and_chi_and_end_in_the_gain_feature():
     scaling = StateScaling(window=4, chi_cap=8.0)
@@ -180,12 +182,13 @@ def test_first_update_moves_log_temperature_by_one_adam_step(monkeypatch):
     trainer = _trainer()
     _fill_memory(trainer, 16)
     batches = []
+    sample = trainer.memory.sample
 
-    def recording(nets, batch, target_entropy, **passes):
-        batches.append(batch)
-        return temperature_loss_and_grad(nets, batch, target_entropy, **passes)
+    def recording(*args):
+        batches.append(sample(*args))
+        return batches[-1]
 
-    monkeypatch.setattr(agent, "temperature_loss_and_grad", recording)
+    monkeypatch.setattr(trainer.memory, "sample", recording)
     # the loss reads the actor and the temperature from before the update
     before = SacNetworks.from_dict(trainer.nets.to_dict(), SMALL_SAC)
     trainer.update()
@@ -196,7 +199,7 @@ def test_first_update_moves_log_temperature_by_one_adam_step(monkeypatch):
     assert g != 0
     assert after - before.log_temperature == pytest.approx(-step, rel=1e-9)
     # a first step's size hardly depends on |g|; its first moment does
-    assert trainer.opt_temperature.m[0] == (1.0 - 0.9) * g
+    assert trainer.opt_temperature.m == (1.0 - 0.9) * g
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -207,15 +210,53 @@ def test_the_temperature_loss_on_a_given_policy_equals_its_own_pass_bit_for_bit(
     nets, batch = trainer.nets, trainer.memory.sample(16, np.dtype(dtype))
     nets.log_temperature = 0.3
     own = temperature_loss_and_grad(nets, batch, config.target_entropy)
-    terms = agent._policy_terms(nets, batch.states, nets.actor.forward_cached(batch.states))
-    given = temperature_loss_and_grad(nets, batch, config.target_entropy, terms=terms)
+    terms = agent._policy_terms(nets.actor.forward(batch.states))
+    given = agent._temperature_loss(nets, *terms, config.target_entropy)
     assert [x.hex() for x in given] == [x.hex() for x in own]
     # the given terms are the ones read: equal logits have entropy log 2
-    uniform = temperature_loss_and_grad(nets, batch, config.target_entropy,
-                                        terms=agent._policy_terms(nets, batch.states,
-                                                                  (np.zeros((16, 2), np.dtype(dtype)), None)))
+    uniform = agent._temperature_loss(nets, *agent._policy_terms(np.zeros((16, 2), np.dtype(dtype))),
+                                      config.target_entropy)
     want = math.exp(0.3) * (math.log(2) - config.target_entropy)
     assert uniform == pytest.approx((want, want), rel=1e-6)
+
+
+def test_the_loss_cores_equal_a_plain_python_oracle():
+    """The critic, actor and temperature cores on a hand-built float64
+    batch: gamma 0.9, one terminal row, and twin critics and target
+    critics that each hold the min on some rows."""
+    config = SacConfig(widths=(4,), batch_size=4, memory_capacity=4, warmup_transitions=0,
+                       gamma=0.9, dtype="float64")
+    nets = SacNetworks(3, config, np.random.default_rng(0))
+    nets.log_temperature = math.log(0.7)
+    actions = np.array([0, 1, 1, 0])
+    rewards = np.array([0.5, -1.25, 2.0, 0.75])
+    terminals = np.array([False, True, False, False])
+    batch = agent.Batch(np.zeros((4, 3)), actions, rewards, np.zeros((4, 3)), terminals)
+    q = np.array([[[1.0, 2.0], [0.5, -0.5], [3.0, 1.5], [-1.0, 0.25]],
+                  [[1.5, 1.0], [0.25, 0.0], [2.5, 2.0], [-0.5, -0.75]]])
+    next_q = np.array([[[0.8, 1.2], [2.0, 1.0], [0.3, 0.9], [1.1, -0.4]],
+                       [[1.0, 0.7], [1.5, 1.4], [0.6, 0.2], [0.9, -0.1]]])
+    logits = np.array([[0.1, 0.6], [-1.2, 0.3], [0.9, -0.4], [0.5, 0.5]])
+    next_logits = np.array([[0.2, -0.3], [1.0, 0.5], [-0.7, 0.4], [0.0, 2.0]])
+    for pair in (q, next_q):
+        assert (pair[0] < pair[1]).any() and (pair[1] < pair[0]).any()
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    theta = nets.temperature
+    y = oracles.soft_bellman_targets_oracle(rewards.tolist(), terminals.tolist(), *next_q.tolist(),
+                                            next_logits.tolist(), theta, 0.9)
+    loss, d_q = agent._critic_loss(nets, batch, q, next_q, next_logits)
+    want_loss, want_d_q = oracles.critic_loss_oracle(q.tolist(), actions.tolist(), y)
+    close(loss, want_loss)
+    close(d_q, want_d_q)
+    terms = agent._policy_terms(logits)
+    loss, d_logits = agent._actor_loss(nets, *terms, q)
+    want_loss, want_d_logits = oracles.actor_loss_oracle(logits.tolist(), *q.tolist(), theta)
+    close(loss, want_loss)
+    close(d_logits, want_d_logits)
+    close(agent._temperature_loss(nets, *terms, 0.3), oracles.temperature_loss_oracle(logits.tolist(), theta, 0.3))
 
 
 def test_load_networks_restarts_every_optimizer():
@@ -229,9 +270,9 @@ def test_load_networks_restarts_every_optimizer():
     optimizers = [trainer.opt_trained, trainer.opt_temperature]
     assert [opt.t for opt in optimizers] == [0, 0]
     # one optimizer over [actor | q1 | q2]
-    assert optimizers[0].m[0].size == 3 * trainer.nets.q1.flat.size
+    assert optimizers[0].m.size == 3 * trainer.nets.q1.flat.size
     for opt in optimizers:
-        assert not any(m.any() for m in opt.m) and not any(v.any() for v in opt.v)
+        assert not opt.m.any() and not opt.v.any()
 
 
 # -- flat parameter storage ------------------------------------------------
@@ -304,15 +345,16 @@ def test_loaded_networks_keep_their_views_through_updates():
 def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
     """Five updates on the flat vectors equal, bit for bit, the three losses'
     gradients on a copy of the networks followed by per-array Adam steps
-    and per-array soft updates."""
+    and per-array soft updates, and return the losses of that copy."""
     config = dataclasses.replace(SMALL_SAC, dtype=dtype)
     trainer = _trainer(config=config)
     _fill_memory(trainer, 16)
     ref = SacNetworks.from_dict(trainer.nets.to_dict(), config)
-    opts = {name: Adam(getattr(ref, name).parameters(), lr)
+    # one Adam per parameter array
+    opts = {name: [Adam(p, lr) for p in getattr(ref, name).parameters()]
             for name, lr in (("q1", config.critic_lr), ("q2", config.critic_lr),
                              ("actor", config.actor_lr))}
-    opt_t = Adam([np.zeros(())], config.temperature_lr)
+    opt_t = Adam(np.zeros(()), config.temperature_lr)
     batches = []
     sample = trainer.memory.sample
 
@@ -323,20 +365,22 @@ def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
     trainer.memory.sample = recording
 
     def step(name, grads):
-        opts[name].step(getattr(ref, name).parameters(), [a for pair in grads for a in pair])
+        for opt, p, g in zip(opts[name], getattr(ref, name).parameters(), [a for pair in grads for a in pair]):
+            opt.step(p, g)
 
     for _ in range(5):
-        trainer.update()
+        losses = trainer.update()
         batch = batches[-1]
         # every loss reads the networks as they were before the update
-        _, g1, g2 = agent.critic_loss_and_grads(ref, batch)
-        _, ga = agent.actor_loss_and_grads(ref, batch)
-        _, g_log_t = temperature_loss_and_grad(ref, batch, config.target_entropy)
+        c_loss, g1, g2 = agent.critic_loss_and_grads(ref, batch)
+        a_loss, ga = agent.actor_loss_and_grads(ref, batch)
+        t_loss, g_log_t = temperature_loss_and_grad(ref, batch, config.target_entropy)
+        assert [x.hex() for x in losses] == [x.hex() for x in (c_loss, a_loss, t_loss)]
         step("q1", g1)
         step("q2", g2)
         step("actor", ga)
         log_t = np.array(ref.log_temperature)
-        opt_t.step([log_t], [np.array(g_log_t)])
+        opt_t.step(log_t, np.array(g_log_t))
         ref.log_temperature = float(log_t)
         for target, source in ((ref.target_q1, ref.q1), (ref.target_q2, ref.q2)):
             for tp, sp in zip(target.parameters(), source.parameters()):
@@ -352,10 +396,10 @@ def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
         size = ref.actor.flat.size
         ranges = {name: slice(k * size, (k + 1) * size) for k, name in enumerate(("actor", "q1", "q2"))}
         flat_opt = trainer.opt_trained
-        for name, opt in opts.items():
-            assert flat_opt.t == opt.t
-            assert np.array_equal(flat_opt.m[0][ranges[name]], np.concatenate([m.ravel() for m in opt.m]))
-            assert np.array_equal(flat_opt.v[0][ranges[name]], np.concatenate([v.ravel() for v in opt.v]))
+        for name, per_array in opts.items():
+            assert all(flat_opt.t == opt.t for opt in per_array)
+            assert np.array_equal(flat_opt.m[ranges[name]], np.concatenate([opt.m.ravel() for opt in per_array]))
+            assert np.array_equal(flat_opt.v[ranges[name]], np.concatenate([opt.v.ravel() for opt in per_array]))
 
 
 # -- stacked twin critics --------------------------------------------------
@@ -437,7 +481,7 @@ def _update_bits(trainer, updates):
     nets = trainer.nets
     return (np.array(losses).tobytes(),
             _bits(nets.stacked.flat),
-            [(opt.t, [_bits(a) for a in opt.m + opt.v]) for opt in (trainer.opt_trained, trainer.opt_temperature)],
+            [(opt.t, _bits(opt.m), _bits(opt.v)) for opt in (trainer.opt_trained, trainer.opt_temperature)],
             nets.log_temperature.hex(),
             [sorted(getattr(nets, name)._buffers) for name in NETS_AND_STACKS])
 
@@ -642,24 +686,24 @@ def test_one_adam_step_and_soft_update_on_the_stack_equal_per_member_steps(dtype
     grads = [rng.normal(size=n.flat.size).astype(dtype) for n in nets]
     # each member's range at its own rate
     size = nets[0].flat.size
-    joint = Adam([stacked.flat], ((slice(None, size), 1e-3), (slice(size, None), 3e-3)))
-    own = [Adam([n.flat], lr) for n, lr in zip(nets, (1e-3, 3e-3))]
+    joint = Adam(stacked.flat, ((slice(None, size), 1e-3), (slice(size, None), 3e-3)))
+    own = [Adam(n.flat, lr) for n, lr in zip(nets, (1e-3, 3e-3))]
     for t in range(3):
         if t == 1:  # in parts, the first across the ranges' boundary
             bias = joint._count_step()
             for part in (slice(None, size + 5), slice(size + 5, None)):
-                joint._step_part(bias, 0, stacked.flat, np.concatenate(grads), part)
+                joint._step_part(bias, stacked.flat, np.concatenate(grads), part)
         else:
-            joint.step([stacked.flat], [np.concatenate(grads)])
+            joint.step(stacked.flat, np.concatenate(grads))
         for opt, net, g in zip(own, nets, grads):
-            opt.step([net.flat], [g])
+            opt.step(net.flat, g)
         agent.soft_update(stacked_target, stacked, 0.2)
         for target, net in zip(targets, nets):
             agent.soft_update(target, net, 0.2)
     assert stacked.flat.tobytes() == b"".join(n.flat.tobytes() for n in nets)
     assert stacked_target.flat.tobytes() == b"".join(t.flat.tobytes() for t in targets)
-    assert joint.m[0].tobytes() == b"".join(opt.m[0].tobytes() for opt in own)
-    assert joint.v[0].tobytes() == b"".join(opt.v[0].tobytes() for opt in own)
+    assert joint.m.tobytes() == b"".join(opt.m.tobytes() for opt in own)
+    assert joint.v.tobytes() == b"".join(opt.v.tobytes() for opt in own)
 
 
 def test_sac_critics_are_stacked_and_the_named_twins_view_them():
@@ -796,18 +840,18 @@ def test_adam_flushes_subnormal_moments_after_a_textbook_step():
         # a stopped gradient: the moments hold subnormals, normals and zeros
         m = np.array([tiny / 4, -tiny / 2, tiny * 2, -0.3, 0.0], dtype)
         v = np.array([tiny / 8, tiny / 2, tiny * 1.5, 0.2, 0.0], dtype)
-        params = [np.array([0.5, -1.5, 2.0, 0.25, -0.75], dtype)]
-        opt = Adam(params, 1e-3)
+        param = np.array([0.5, -1.5, 2.0, 0.25, -0.75], dtype)
+        opt = Adam(param, 1e-3)
         opt.t = 5
-        opt.m[0][...] = m
-        opt.v[0][...] = v
-        ref = params[0].copy()
-        opt.step(params, [np.zeros(5, dtype)])
+        opt.m[...] = m
+        opt.v[...] = v
+        ref = param.copy()
+        opt.step(param, np.zeros(5, dtype))
         m *= opt.beta1
         v *= opt.beta2
         ref -= 1e-3 * (m / (1.0 - opt.beta1**6)) / (np.sqrt(v / (1.0 - opt.beta2**6)) + opt.eps)
-        assert _bits(params[0]) == _bits(ref)
-        for got, want in ((opt.m[0], m), (opt.v[0], v)):
+        assert _bits(param) == _bits(ref)
+        for got, want in ((opt.m, m), (opt.v, v)):
             assert not np.any((got != 0) & (np.abs(got) < tiny))
             # a flushed negative entry reads +0.0, as a written 0 does
             assert _bits(got) == _bits(np.where(np.abs(want) < tiny, dtype(0), want))
@@ -818,13 +862,14 @@ def test_adam_equals_the_textbook_step_with_fresh_temporaries_bit_for_bit():
     for dtype in (np.float32, np.float64):
         params = [rng.normal(size=(4, 3)).astype(dtype), np.array(0.5, dtype)]
         ref = [p.copy() for p in params]
-        opt = Adam(params, 1e-3)
+        opts = [Adam(p, 1e-3) for p in params]
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
         b1, b2, eps = 0.9, 0.999, 1e-8
         for t in range(1, 4):
             grads = [rng.normal(size=p.shape).astype(dtype) for p in params]
-            opt.step(params, grads)
+            for opt, p, g in zip(opts, params, grads):
+                opt.step(p, g)
             for p, g, mi, vi in zip(ref, grads, m, v):
                 mi *= b1
                 mi += (1.0 - b1) * g

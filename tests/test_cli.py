@@ -28,8 +28,17 @@ TINY = {
 }
 
 
+# JSON text that nests deeper than the parser's recursion limit
+DEEP_JSON = "[" * 200000 + "]" * 200000
+# the clip files a config can name, written beside it when named
+CLIP_FILES = {"deep.json": DEEP_JSON,
+              "long.json": json.dumps({"name": "long", "frame_width": 960, "frame_height": 540,
+                                       "frames": [[]] * 20001})}
+
+
 def _write(path, doc):
-    path.write_text(json.dumps(doc))
+    """``doc`` as JSON, or as it is when it is text."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -173,10 +182,21 @@ def test_importing_the_cli_loads_no_scipy_and_channel_check_still_passes():
     ({"channel": {"snr_threshold_db": 300, "noise_psd_dbm_hz": 3000, "distance_m": 1},
       "energy": {"scale": 1.0}},
      "the channel settings give an energy.anchor_bits packet an expected energy of inf J"),
+    (DEEP_JSON, "nests too deeply to read"),
+    # sizes past the longest clip are refused before anything is allocated
+    ({"state": {"window": 1000000000}}, "window must be <= 20000, the longest clip, got 1000000000"),
+    ({"train_clips": [{"kind": "generate", "frames": 1000000000}]},
+     "num_frames must be in [0, 20000], got 1000000000"),
+    ({"train_clips": [{"kind": "file", "path": "deep.json"}]}, "clip JSON nests too deeply to read"),
+    ({"train_clips": [{"kind": "file", "path": "long.json"}]}, "20001 frames, past the cap of 20000"),
 ])
 def test_a_bad_config_gives_exit_2(tmp_path, capsys, doc, message):
     config = _write(tmp_path / "config.json", doc)
-    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    for name, text in CLIP_FILES.items():
+        if name in str(doc):
+            (tmp_path / name).write_text(text)
+    argv = ["train", "--config", config, "--base-dir", str(tmp_path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
@@ -230,14 +250,14 @@ def test_a_diverged_training_run_leaves_its_curves_and_a_manifest(tmp_path, caps
 
     # updates start once the memory holds 8 transitions, so episode 0 makes
     # 12 - 8 + 1 = 5 of them and the 6th critic loss is episode 1's first
-    real, calls = agent.critic_loss_and_grads, []
+    real, calls = agent._critic_loss, []
 
-    def nan_from_the_6th_call(nets, batch, **passes):
+    def nan_from_the_6th_call(*args):
         calls.append(None)
-        loss, g1, g2 = real(nets, batch, **passes)
-        return (math.nan if len(calls) >= 6 else loss), g1, g2
+        loss, d_q = real(*args)
+        return (math.nan if len(calls) >= 6 else loss), d_q
 
-    monkeypatch.setattr(agent, "critic_loss_and_grads", nan_from_the_6th_call)
+    monkeypatch.setattr(agent, "_critic_loss", nan_from_the_6th_call)
     out = tmp_path / "out"
     assert cli.main(["train", "--config", config, "--episodes", "3", "--out", str(out)]) == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
@@ -257,8 +277,8 @@ def test_each_manifest_records_its_phase_times_the_blas_and_the_cpu_count(tmp_pa
     assert cli.main(["train", "--config", config, "--episodes", "1", "--out", str(train)]) == cli.EXIT_OK
     assert cli.main(["evaluate", "--config", config, "--snapshot", str(train / "snapshot.json"),
                      "--out", str(evaluation)]) == cli.EXIT_OK
-    real = agent.critic_loss_and_grads
-    monkeypatch.setattr(agent, "critic_loss_and_grads", lambda nets, batch, **passes: (math.nan, *real(nets, batch, **passes)[1:]))
+    real = agent._critic_loss
+    monkeypatch.setattr(agent, "_critic_loss", lambda *args: (math.nan, real(*args)[1]))
     assert cli.main(["train", "--config", config, "--episodes", "1", "--out", str(diverged)]) == cli.EXIT_RUNTIME
     capsys.readouterr()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -400,6 +420,7 @@ def test_a_snapshot_trained_on_other_state_settings_gives_exit_2(tmp_path, capsy
     ([1, 2], "snapshot must be a JSON object, got list"),
     ({"format": "semsample-sac-snapshot", "version": 2, "state_dim": "many",
       "log_temperature": 0.0}, "invalid literal"),
+    (DEEP_JSON, "nests too deeply to read"),
 ])
 @pytest.mark.parametrize("command", ["evaluate", "resume"])
 def test_a_malformed_snapshot_gives_exit_2(tmp_path, capsys, doc, message, command):

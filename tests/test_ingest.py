@@ -224,6 +224,15 @@ def test_clip_json_rejects_garbage():
         parse_clip_json("not json at all {")
     with pytest.raises(ClipParseError):
         parse_clip_json('{"name": "x"}')
+    with pytest.raises(ClipParseError, match="^clip JSON nests too deeply to read$"):
+        parse_clip_json("[" * 200000 + "]" * 200000)
+
+    def clip(frames):
+        return json.dumps({"name": "x", "frame_width": 960, "frame_height": 540, "frames": [[]] * frames})
+
+    assert len(parse_clip_json(clip(MAX_CLIP_FRAMES))) == MAX_CLIP_FRAMES
+    with pytest.raises(ClipParseError, match="20001 frames, past the cap of 20000"):
+        parse_clip_json(clip(MAX_CLIP_FRAMES + 1))
 
 
 def test_clip_invariant_frame_indices():

@@ -87,6 +87,12 @@ SNAPSHOT_VERSION = 2
 # (1,024 rows) 9.8 ms against 19.5.
 THREADED_WORK = 1 << 23
 
+# A hidden layer wider than this is refused: 4,096 units are 13 times the
+# paper's widest layer (300), and at the default 153-feature state a net of
+# two such layers already holds 17.4 M weights, 0.35 GB for the five nets in
+# float32.
+MAX_WIDTH = 4096
+
 # ReplayMemory allocates all its rows up front: 1M rows of the default
 # 153-feature float32 state are 0.6 GB, ten times the paper's 100k memory.
 MAX_MEMORY_CAPACITY = 1_000_000
@@ -284,6 +290,7 @@ class SacConfig:
             float_dtype = False
         rules = (
             ("widths", all(w >= 1 for w in self.widths), "must all be >= 1"),
+            ("widths", all(w <= MAX_WIDTH for w in self.widths), f"must all be <= {MAX_WIDTH}"),
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
             ("memory_capacity", max(self.batch_size, self.warmup_transitions)
              <= self.memory_capacity <= MAX_MEMORY_CAPACITY,
@@ -429,16 +436,15 @@ def _policy_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _critic_loss(nets: SacNetworks, batch: Batch, q: np.ndarray, next_q: np.ndarray,
-                 next_logits: np.ndarray) -> tuple[float, np.ndarray]:
+                 next_probs: np.ndarray, next_logp: np.ndarray) -> tuple[float, np.ndarray]:
     """Half mean squared Bellman error of both critics' outputs ``q``
     against shared soft Bellman targets: the reward plus the
     entropy-regularized value of the next state under the policy's
-    ``next_logits`` and the min of the target critics' ``next_q``.
-    Returns the sum of the two losses and its gradient at ``q``; the
-    targets are constants."""
-    probs, logp = _policy_terms(next_logits)
+    ``next_probs`` and ``next_logp`` (see :func:`_policy_terms`) and the
+    min of the target critics' ``next_q``.  Returns the sum of the two
+    losses and its gradient at ``q``; the targets are constants."""
     q_next = np.minimum(next_q[0], next_q[1])
-    v_next = np.add.reduce(probs * (q_next - nets.temperature * logp), axis=1)
+    v_next = np.add.reduce(next_probs * (q_next - nets.temperature * next_logp), axis=1)
     cont = (~batch.terminals).astype(v_next.dtype)
     y = batch.rewards + nets.config.gamma * cont * v_next
     n = len(batch.actions)
@@ -486,7 +492,7 @@ def critic_loss_and_grads(nets: SacNetworks, batch: Batch):
     next_logits = nets.actor.forward(batch.next_states)
     next_q = nets.target_critics.forward(batch.next_states)
     q, cache = nets.critics.forward_cached(batch.states)
-    loss, d_q = _critic_loss(nets, batch, q, next_q, next_logits)
+    loss, d_q = _critic_loss(nets, batch, q, next_q, *_policy_terms(next_logits))
     grads = nets.critics.backward(cache, d_q)
     return loss, [(dw[0], db[0]) for dw, db in grads], [(dw[1], db[1]) for dw, db in grads]
 
@@ -775,8 +781,11 @@ class Trainer:
         # the output delta [d_logits; d_q1; d_q2], which phases 2 and 3
         # pass back
         delta = np.empty_like(out)
-        c_loss, delta[1:] = _critic_loss(nets, batch, out[1:], next_out[:2], next_out[2])
-        terms = _policy_terms(out[0])
+        # the actor's logits on the next states and on the states sit side
+        # by side in outs: one log-softmax serves both losses
+        probs, logp = _policy_terms(outs.reshape(-1, rows, trained.dims[-1])[2:4])
+        c_loss, delta[1:] = _critic_loss(nets, batch, out[1:], next_out[:2], probs[0], logp[0])
+        terms = probs[1], logp[1]
         a_loss, delta[0] = _actor_loss(nets, *terms, out[1:])
 
         bias = opt._count_step()

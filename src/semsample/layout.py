@@ -6,19 +6,29 @@ class-valued raster grids at the receiver, and compared with the two mismatch
 metrics used throughout the simulator: the box-level semantic change degree
 and the pixel-level prediction deviation.
 
-Both metrics are evaluated in exact integer arithmetic: box coordinates are
-scaled to a common power-of-two denominator, pixel classes are counted in one
-confusion matrix, and the terms are summed as one unreduced fraction that is
-rounded to float by a single correctly rounded division.  Results are
+Both metrics are evaluated in exact integer arithmetic: box coordinates
+become integers over a power-of-two denominator, pixel classes are counted in
+one confusion matrix, and the terms are summed as one unreduced fraction that
+is rounded to float by a single correctly rounded division.  Results are
 therefore the exact rational values rounded once, reproducible bit-for-bit
 and checkable against brute-force oracles.
+
+A scene's integer coordinates are made once, on the first semantic change
+that reads it, and kept on the scene: each coordinate times the largest
+denominator among the scene's own coordinates.  An episode compares each
+frame with the last frame sent, so most frames are read many times.  A pair
+of scenes with different denominators is brought to the larger one, a power
+of two times the smaller.  Each term of the change is a ratio of areas, and
+one scale factor on every coordinate of both boxes multiplies every area by
+its square, so the term, the exact sum and its rounded bits do not depend
+on which common denominator the pair is read at.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -101,6 +111,10 @@ class SceneAnnotation:
 
     frame_index: int
     vehicles: tuple[VehicleRecord, ...] = field(default_factory=tuple)
+    # (denominator, {track_id: integer b1..b4}), made by the first
+    # semantic_change that reads the scene (see _exact_boxes)
+    _exact: Optional[tuple[int, dict[int, tuple[int, int, int, int]]]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
@@ -274,25 +288,27 @@ def rasterize(scene: SceneAnnotation, width: int, height: int) -> VisualLayout:
                    for rec in scene.vehicles], width, height)
 
 
-def _box_mismatch(a: BoundingBox, b: BoundingBox) -> tuple[int, int]:
-    """(A + A' - 2I, 2 (A + A' - I)) for a matched pair of boxes, in integers.
+def _exact_boxes(scene: SceneAnnotation) -> tuple[int, dict[int, tuple[int, int, int, int]]]:
+    """The scene's box coordinates as exact integers over one power-of-two
+    denominator, the largest of its coordinates' own, by track id; made
+    once and kept on the scene.
 
-    Every float is a dyadic rational, so scaling the eight coordinates to
-    their largest power-of-two denominator makes both areas and the
-    intersection exact integers.  The ratio ranges over [0, 1/2]: 0 only for
-    an exact match (or two empty boxes), 1/2 only for disjoint boxes.
+    Every float is a dyadic rational, so each coordinate times that
+    denominator is an integer.
     """
-    (n1, d1), (n2, d2), (n3, d3), (n4, d4), (m1, e1), (m2, e2), (m3, e3), (m4, e4) = map(
-        float.as_integer_ratio, (a.b1, a.b2, a.b3, a.b4, b.b1, b.b2, b.b3, b.b4))
-    scale = max(d1, d2, d3, d4, e1, e2, e3, e4)
-    a1, a2, a3, a4 = n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3), n4 * (scale // d4)
-    b1, b2, b3, b4 = m1 * (scale // e1), m2 * (scale // e2), m3 * (scale // e3), m4 * (scale // e4)
-    area_a = (a3 - a1) * (a4 - a2)
-    area_b = (b3 - b1) * (b4 - b2)
-    w = min(a3, b3) - max(a1, b1)
-    h = min(a4, b4) - max(a2, b2)
-    inter = w * h if w > 0 and h > 0 else 0
-    return area_a + area_b - 2 * inter, 2 * (area_a + area_b - inter)
+    exact = scene._exact
+    if exact is None:
+        ratios, scale = [], 1
+        for v in scene.vehicles:
+            b = v.box
+            r1, r2, r3, r4 = (b.b1.as_integer_ratio(), b.b2.as_integer_ratio(),
+                              b.b3.as_integer_ratio(), b.b4.as_integer_ratio())
+            scale = max(scale, r1[1], r2[1], r3[1], r4[1])
+            ratios.append((v.track_id, r1, r2, r3, r4))
+        exact = (scale, {tid: (n1 * (scale // d1), n2 * (scale // d2), n3 * (scale // d3), n4 * (scale // d4))
+                         for tid, (n1, d1), (n2, d2), (n3, d3), (n4, d4) in ratios})
+        object.__setattr__(scene, "_exact", exact)
+    return exact
 
 
 def _ratio_sum(terms: Iterable[tuple[int, int]]) -> float:
@@ -314,13 +330,33 @@ def semantic_change(current: SceneAnnotation, last_sampled: SceneAnnotation) -> 
     """Accumulated box mismatch between a scene and the last sampled scene.
 
     Vehicles are matched by track_id; a vehicle present in only one of the
-    two scenes counts as fully disjoint and contributes 1/2.
+    two scenes counts as fully disjoint and contributes 1/2.  A matched
+    pair contributes (A + A' - 2I) / (2 (A + A' - I)) for areas A, A' and
+    intersection I: 0 only for an exact match (or two empty boxes), 1/2
+    only for disjoint boxes.  The sum is kept as one unreduced fraction of
+    integers (see :func:`_ratio_sum`) and rounded once.
     """
-    cur = {v.track_id: v.box for v in current.vehicles}
-    old = {v.track_id: v.box for v in last_sampled.vehicles}
+    scale_a, cur = _exact_boxes(current)
+    scale_b, old = _exact_boxes(last_sampled)
+    # both scales are powers of two: bring the pair to the larger one
+    up_a, up_b = max(scale_b // scale_a, 1), max(scale_a // scale_b, 1)
     matched = cur.keys() & old.keys()
-    terms = [_box_mismatch(cur[tid], old[tid]) for tid in matched]
-    terms.append((len(cur) + len(old) - 2 * len(matched), 2))
+    terms = [(len(cur) + len(old) - 2 * len(matched), 2)]
+    for tid in matched:
+        a1, a2, a3, a4 = cur[tid]
+        b1, b2, b3, b4 = old[tid]
+        if up_a != 1:
+            a1, a2, a3, a4 = a1 * up_a, a2 * up_a, a3 * up_a, a4 * up_a
+        if up_b != 1:
+            b1, b2, b3, b4 = b1 * up_b, b2 * up_b, b3 * up_b, b4 * up_b
+        area_a = (a3 - a1) * (a4 - a2)
+        area_b = (b3 - b1) * (b4 - b2)
+        # conditional expressions in place of min and max take a quarter
+        # off the call
+        w = (a3 if a3 < b3 else b3) - (a1 if a1 > b1 else b1)
+        h = (a4 if a4 < b4 else b4) - (a2 if a2 > b2 else b2)
+        inter = w * h if w > 0 and h > 0 else 0
+        terms.append((area_a + area_b - 2 * inter, 2 * (area_a + area_b - inter)))
     return _ratio_sum(terms)
 
 

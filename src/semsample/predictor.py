@@ -14,6 +14,17 @@ first popped or indexed: the next reception usually comes within one or two
 intervals and replaces the rest of the round unseen.  A scene round paints
 each extrapolated box straight into the grid with the pixel rectangles of
 :func:`~semsample.layout.rasterize`, making no box, record or scene.
+
+A layout round reads each input layout once, in a class census: a cell of
+class c becomes a 64-bit word with a 1 in its 16-bit field c - 1, so summing
+the words along each row and down each column counts every class in that row
+or column at once.  From these counts come each class's pixel count and its
+exact integer sums of row and column numbers; their quotients are the
+centroid that ``ndarray.mean`` gives over the pixels' coordinates, bit for
+bit, since numpy's float64 sum of those integers is exact and both round the
+quotient once.  A predicted layout is the newer layout's class masks copied
+in ascending class order, each shifted by whole rows and columns as a pair
+of slices, with no per-pixel index arrays.
 """
 from __future__ import annotations
 
@@ -36,6 +47,7 @@ from .layout import (
     prediction_deviation,
     rasterize,
 )
+from .ingest import MAX_CLIP_FRAMES
 
 __all__ = [
     "PredictorConfig",
@@ -44,6 +56,12 @@ __all__ = [
     "Feedback",
     "DestinationState",
 ]
+
+# Layouts are painted from 5-bit box coordinates, 32 levels an axis, so a
+# 4,096-cell side already gives each level 128 cells; a larger grid adds
+# only memory (a 4,096 x 4,096 layout is 16 MiB, and a round keeps up to
+# ``horizon`` of them).  The class census needs sides below 2**16.
+MAX_GRID_SIDE = 4096
 
 
 @dataclass(frozen=True)
@@ -67,8 +85,15 @@ class PredictorConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        # a round holds a slot per interval, and an episode runs at most
+        # MAX_CLIP_FRAMES intervals, so a longer round is never used up
+        if self.horizon > MAX_CLIP_FRAMES:
+            raise ValueError(f"horizon must be <= {MAX_CLIP_FRAMES}, the longest clip, got {self.horizon!r}")
         if self.grid_width < 1 or self.grid_height < 1:
             raise ValueError("grid dimensions must be positive")
+        if self.grid_width > MAX_GRID_SIDE or self.grid_height > MAX_GRID_SIDE:
+            raise ValueError(f"grid dimensions must be <= {MAX_GRID_SIDE}, "
+                             f"got {self.grid_width!r} x {self.grid_height!r}")
         if self.max_track_speed <= 0:
             raise ValueError("max_track_speed must be positive")
 
@@ -163,34 +188,60 @@ class ConstantVelocityPredictor:
         return PredictedRound(horizon, build)
 
     def predict_layouts(self, older, newer, gap, horizon):
+        """Shift each class's pixel mask of ``newer`` by its centroid's
+        motion since ``older``, rounded to whole cells; a class absent
+        from ``older`` holds still, and pixels shifted off the grid drop.
+        Classes paint in ascending code, so higher codes win overlaps."""
         if gap < 1:
             raise ValueError("gap between the two inputs must be >= 1")
         if older.grid.shape != newer.grid.shape:
             raise ValueError("layout dimensions differ")
         height, width = newer.grid.shape
+        if max(height, width) >= 1 << 16:
+            raise ValueError(f"layout sides must be < 65536, got {width} x {height}")
+        new_counts, new_rows, new_cols = _class_census(newer.grid)
+        old_counts, old_rows, old_cols = _class_census(older.grid)
         shifts = []
-        for cls in VehicleClass:  # ascending class code: higher codes paint last
-            rows, cols = np.nonzero(newer.grid == cls)
-            if rows.size == 0:
+        for code in range(1, len(VehicleClass) + 1):
+            n, n_old = new_counts[code - 1], old_counts[code - 1]
+            if n == 0:
                 continue
-            old_rows, old_cols = np.nonzero(older.grid == cls)
-            if old_rows.size == 0:
-                dr = dc = 0.0  # class just appeared: hold static
-            else:
-                dr = (rows.mean() - old_rows.mean()) / gap
-                dc = (cols.mean() - old_cols.mean()) / gap
-            shifts.append((int(cls), rows, cols, dr, dc))
+            dr = dc = 0.0  # class just appeared: hold static
+            if n_old:
+                dr = (new_rows[code - 1] / n - old_rows[code - 1] / n_old) / gap
+                dc = (new_cols[code - 1] / n - old_cols[code - 1] / n_old) / gap
+            shifts.append((code, newer.grid == code, dr, dc))
 
         def build(k: int) -> VisualLayout:
             grid = np.zeros((height, width), dtype=np.uint8)
-            for code, rows, cols, dr, dc in shifts:
-                r = rows + int(np.rint(k * dr))
-                c = cols + int(np.rint(k * dc))
-                keep = (r >= 0) & (r < height) & (c >= 0) & (c < width)
-                grid[r[keep], c[keep]] = code
+            for code, mask, dr, dc in shifts:
+                # round() rounds half to even, as np.rint does
+                r, c = round(k * dr), round(k * dc)
+                if -height < r < height and -width < c < width:
+                    np.copyto(grid[max(r, 0):height + min(r, 0), max(c, 0):width + min(c, 0)], code,
+                              where=mask[max(-r, 0):height - max(r, 0), max(-c, 0):width - max(c, 0)])
             return VisualLayout._painted(grid)
 
         return PredictedRound(horizon, build)
+
+
+# the census's word for each cell code: background adds nothing, class c
+# adds 1 to the 16-bit field c - 1
+_CENSUS_WORDS = np.array([0, 1, 1 << 16, 1 << 32, 1 << 48], dtype="<u8")
+
+
+def _class_census(grid: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Each class's pixel count, sum of row indices and sum of column
+    indices, as lists of exact integers for classes 1..4.
+
+    A row's field counts at most ``width`` cells and a column's at most
+    ``height``, so sides below 2**16 never carry out of a field."""
+    words = _CENSUS_WORDS.take(grid)
+    per_row = np.add.reduce(words, axis=1).astype("<u8", copy=False).view("<u2").reshape(-1, 4)
+    per_col = np.add.reduce(words, axis=0).astype("<u8", copy=False).view("<u2").reshape(-1, 4)
+    rows, cols = np.arange(grid.shape[0]), np.arange(grid.shape[1])
+    return (np.add.reduce(per_row, axis=0, dtype=np.intp).tolist(),
+            (rows @ per_row).tolist(), (cols @ per_col).tolist())
 
 
 class DestinationState:

@@ -101,6 +101,41 @@ def rasterize_oracle(scene, width: int, height: int) -> np.ndarray:
     return grid
 
 
+def predict_layouts_oracle(older, newer, gap: int, horizon: int) -> list[np.ndarray]:
+    """Per-pixel constant-velocity class shifts: each class's pixels in the
+    newer layout move by k times its centroid's motion per interval,
+    rounded half to even, k = 1 .. horizon.  A centroid is the float mean
+    of the pixels' row and column numbers; a class absent from the older
+    layout holds still.  Classes paint in ascending order; pixels that
+    land off the grid are dropped."""
+    old, new = older.grid.tolist(), newer.grid.tolist()
+    h, w = len(new), len(new[0])
+
+    def pixels(grid, cls):
+        return [(y, x) for y in range(h) for x in range(w) if grid[y][x] == cls]
+
+    moves = []
+    for cls in (1, 2, 3, 4):
+        now, before = pixels(new, cls), pixels(old, cls)
+        if not now:
+            continue
+        dy = dx = 0.0
+        if before:
+            dy = (sum(y for y, _ in now) / len(now) - sum(y for y, _ in before) / len(before)) / gap
+            dx = (sum(x for _, x in now) / len(now) - sum(x for _, x in before) / len(before)) / gap
+        moves.append((cls, now, dy, dx))
+    layouts = []
+    for k in range(1, horizon + 1):
+        grid = np.zeros((h, w), dtype=np.uint8)
+        for cls, now, dy, dx in moves:
+            sy, sx = round(k * dy), round(k * dx)
+            for y, x in now:
+                if 0 <= y + sy < h and 0 <= x + sx < w:
+                    grid[y + sy, x + sx] = cls
+        layouts.append(grid)
+    return layouts
+
+
 def moment_quadrature(params, n: float) -> float:
     """E[g^n] by adaptive quadrature over the fading density."""
     from semsample.channel import pdf

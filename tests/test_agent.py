@@ -247,7 +247,7 @@ def test_the_loss_cores_equal_a_plain_python_oracle():
     theta = nets.temperature
     y = oracles.soft_bellman_targets_oracle(rewards.tolist(), terminals.tolist(), *next_q.tolist(),
                                             next_logits.tolist(), theta, 0.9)
-    loss, d_q = agent._critic_loss(nets, batch, q, next_q, next_logits)
+    loss, d_q = agent._critic_loss(nets, batch, q, next_q, *agent._policy_terms(next_logits))
     want_loss, want_d_q = oracles.critic_loss_oracle(q.tolist(), actions.tolist(), y)
     close(loss, want_loss)
     close(d_q, want_d_q)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from semsample.layout import (
     rasterize,
     semantic_change,
 )
+from semsample.ingest import FootageClip, clip_to_json
 from oracles import (
     pack_records_oracle,
     prediction_deviation_oracle,
@@ -372,6 +375,64 @@ def test_semantic_change_subnormal_boxes_round_once():
     b = scene(car(0, 0.0, 0.0, 1.5e-323, 5e-324), car(1, 0.0, 0.0, 1.0, 2e-300))
     expected = Fraction(2, 6) + Fraction(1, 4)
     assert semantic_change(a, b) == float(expected) == float(semantic_change_oracle(a, b))
+
+
+# a scene's coordinates on one of these scales: multiples of the smallest
+# subnormal, of 1e-300 and of the 1/32 grid, so that scenes on different
+# scales have exact-integer forms with different denominators
+SCALES = [5e-324, 1e-300, 1 / 32]
+
+
+@st.composite
+def scenes_on_scales(draw):
+    """Up to 6 scenes, each on one scale of SCALES, of up to 5 vehicles
+    with track ids from 0..6, so that some pairs share ids and some do
+    not."""
+    scenes = []
+    for index in range(draw(st.integers(2, 6))):
+        unit = draw(st.sampled_from(SCALES))
+        top = 32 if unit == 1 / 32 else 4096
+        vehicles = []
+        for tid in draw(st.lists(st.integers(0, 6), max_size=5, unique=True)):
+            x1, x2 = sorted(draw(st.integers(0, top)) * unit for _ in range(2))
+            y1, y2 = sorted(draw(st.integers(0, top)) * unit for _ in range(2))
+            vehicles.append(car(tid, x1, y1, x2, y2))
+        scenes.append(scene(*vehicles, index=index))
+    return scenes
+
+
+@given(scenes_on_scales())
+@settings(max_examples=100, deadline=None)
+def test_semantic_change_through_the_memo_matches_the_oracle_on_unequal_scales(scenes):
+    """Every ordered pair twice: the first pass makes each scene's exact
+    coordinates, the second reads them back."""
+    assert all(s._exact is None for s in scenes)
+    want = {(i, j): float(semantic_change_oracle(a, b))
+            for i, a in enumerate(scenes) for j, b in enumerate(scenes)}
+    for (i, j), value in want.items():
+        assert semantic_change(scenes[i], scenes[j]) == value
+    memos = [s._exact for s in scenes]
+    assert all(memo is not None for memo in memos)
+    for (i, j), value in want.items():
+        assert semantic_change(scenes[i], scenes[j]) == value
+    assert all(s._exact is memo for s, memo in zip(scenes, memos))
+
+
+def test_a_scene_with_a_filled_memo_equals_hashes_copies_and_serializes_as_a_fresh_one():
+    frames = [scene(car(0, 5e-324, 0.0, 1e-300, 0.5), car(3, 0.25, 0.125, 0.5, 0.75), index=0),
+              scene(car(0, 1 / 32, 0.0, 0.5, 0.5), car(4, 0.1, 0.2, 0.3, 0.4), index=1)]
+    value = semantic_change(frames[0], frames[1])
+    fresh = [SceneAnnotation(f.frame_index, f.vehicles) for f in frames]
+    assert all(f._exact is not None for f in frames) and all(f._exact is None for f in fresh)
+    for filled, empty in zip(frames, fresh):
+        assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
+        for copied in (copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
+            assert copied == empty and hash(copied) == hash(empty)
+    assert semantic_change(*(copy.deepcopy(f) for f in frames)) == value
+    assert semantic_change(*(pickle.loads(pickle.dumps(f)) for f in frames)) == value
+    assert semantic_change(*fresh) == value
+    assert (clip_to_json(FootageClip("memo", 960, 540, tuple(frames)))
+            == clip_to_json(FootageClip("memo", 960, 540, tuple(fresh))))
 
 
 # -- prediction deviation ---------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semsample.layout as layout_module
@@ -21,7 +21,7 @@ from semsample.predictor import (
     PredictorConfig,
 )
 
-from oracles import rasterize_oracle
+from oracles import predict_layouts_oracle, rasterize_oracle
 
 CFG = PredictorConfig(horizon=5, grid_width=120, grid_height=80)
 
@@ -162,11 +162,88 @@ def test_layout_path_drops_pixels_outside_frame():
     assert not layouts[-1].grid.any()
 
 
+@st.composite
+def layout_pairs(draw):
+    """An older and a newer layout of one size, 120 x 80 or an odd 37 x 23,
+    painted from overlapping class rectangles in random order.  The newer
+    layout holds all four classes, each also as a single pixel painted
+    last; the older may lack any of them.  Rectangles anywhere on the grid
+    give centroid motions up to the grid's size per interval, so over the
+    horizon shifts run past every edge, by more than the grid too."""
+    width, height = draw(st.sampled_from([(120, 80), (37, 23)]))
+
+    def paint(classes):
+        grid = np.zeros((height, width), np.uint8)
+        for _ in range(draw(st.integers(0, 6))):
+            x1, x2 = sorted(draw(st.integers(0, width)) for _ in range(2))
+            y1, y2 = sorted(draw(st.integers(0, height)) for _ in range(2))
+            grid[y1:y2, x1:x2] = draw(st.sampled_from(classes))
+        return grid
+
+    newer = paint([1, 2, 3, 4])
+    cells = draw(st.lists(st.integers(0, width * height - 1), min_size=4, max_size=4, unique=True))
+    for cls, cell in zip((1, 2, 3, 4), cells):
+        newer.flat[cell] = cls
+    kept = draw(st.one_of(st.just([1, 2, 3, 4]), st.lists(st.sampled_from([1, 2, 3, 4]), unique=True)))
+    older = paint(kept) if kept else np.zeros((height, width), np.uint8)
+    return VisualLayout(older), VisualLayout(newer)
+
+
+def corner_pair(width, height):
+    """Each class a 2 x 2 block in one corner of the newer layout and in
+    the opposite corner of the older, so the four classes move diagonally
+    outwards by nearly the grid's size per interval: past all four edges,
+    and from k = 2 on past the whole grid."""
+    older, newer = np.zeros((2, height, width), np.uint8)
+    for cls, (y, x) in zip((1, 2, 3, 4), [(0, 0), (0, width - 2), (height - 2, 0), (height - 2, width - 2)]):
+        newer[y:y + 2, x:x + 2] = cls
+        older[height - 2 - y:height - y, width - 2 - x:width - x] = cls
+    return VisualLayout(older), VisualLayout(newer)
+
+
+def edge_pair(width, height):
+    """Classes 1 and 2 each on two opposite corners of the newer layout,
+    and on one corner of the older, so that at k = 2 class 1 moves by
+    exactly (height - 1, width - 1) and class 2 by (1 - height, width - 1):
+    one pixel of each lands on the far corner, the rest leaves the grid."""
+    older, newer = np.zeros((2, height, width), np.uint8)
+    newer[0, 0] = newer[-1, -1] = older[0, 0] = 1
+    newer[0, -1] = newer[-1, 0] = older[-1, 0] = 2
+    return VisualLayout(older), VisualLayout(newer)
+
+
+@given(layout_pairs(), st.integers(1, 3), st.integers(1, 12))
+@example(corner_pair(120, 80), 1, 12)
+@example(corner_pair(37, 23), 3, 12)
+@example(edge_pair(120, 80), 1, 3)
+@example(edge_pair(37, 23), 1, 3)
+@settings(max_examples=60, deadline=None)
+def test_every_layout_of_a_layout_round_equals_the_per_pixel_oracle(pair, gap, horizon):
+    older, newer = pair
+    height, width = newer.grid.shape
+    config = PredictorConfig(horizon=horizon, grid_width=width, grid_height=height)
+    round_ = ConstantVelocityPredictor(config).predict_layouts(older, newer, gap, horizon)
+    want = predict_layouts_oracle(older, newer, gap, horizon)
+    assert len(round_) == horizon
+    for got, expected in zip(round_, want):
+        np.testing.assert_array_equal(got.grid, expected)
+
+
 def test_gap_must_be_positive():
     predictor = ConstantVelocityPredictor(CFG)
     sc = scene(rec(0, 0.2))
     with pytest.raises(ValueError):
         predictor.predict_scenes(sc, sc, 0, 3)
+
+
+def test_a_layout_round_refuses_a_side_past_the_census_fields():
+    """The census counts a row's cells in 16 bits."""
+    predictor = ConstantVelocityPredictor(CFG)
+    wide = VisualLayout(np.ones((1, 1 << 16), np.uint8))
+    with pytest.raises(ValueError, match="layout sides must be < 65536"):
+        predictor.predict_layouts(wide, wide, 1, 3)
+    fits = VisualLayout(np.ones((2, (1 << 16) - 1), np.uint8))
+    assert predictor.predict_layouts(fits, fits, 1, 1)[0] == fits
 
 
 # -- destination state machine ----------------------------------------------------

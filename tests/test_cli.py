@@ -185,13 +185,14 @@ def test_importing_the_cli_loads_no_scipy_and_channel_check_still_passes():
     (DEEP_JSON, "nests too deeply to read"),
     # sizes past the longest clip are refused before anything is allocated
     ({"state": {"window": 1000000000}}, "window must be <= 20000, the longest clip, got 1000000000"),
-    ({"agent": {"widths": [1000000000]}}, "widths must all be <= 4096, got (1000000000,)"),
-    ({"predictor": {"grid_width": 1000000000}}, "grid dimensions must be <= 4096, got 1000000000 x 80"),
-    ({"predictor": {"horizon": 1000000000}}, "horizon must be <= 20000, the longest clip, got 1000000000"),
     ({"train_clips": [{"kind": "generate", "frames": 1000000000}]},
      "num_frames must be in [0, 20000], got 1000000000"),
     ({"train_clips": [{"kind": "file", "path": "deep.json"}]}, "clip JSON nests too deeply to read"),
     ({"train_clips": [{"kind": "file", "path": "long.json"}]}, "20001 frames, past the cap of 20000"),
+    # network and predictor sizes past their caps
+    ({"agent": {"widths": [1000000000]}}, "widths must all be <= 4096, got (1000000000,)"),
+    ({"predictor": {"grid_width": 1000000000}}, "grid dimensions must be <= 4096, got 1000000000 x 80"),
+    ({"predictor": {"horizon": 1000000000}}, "horizon must be <= 20000, the longest clip, got 1000000000"),
 ])
 def test_a_bad_config_gives_exit_2(tmp_path, capsys, doc, message):
     config = _write(tmp_path / "config.json", doc)

@@ -70,6 +70,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
+# channel-check holds about 32 bytes a draw at its peak (both gamma draws,
+# their quotient and its reciprocal), so 10 M draws take about 0.33 GB; the
+# default of 1 M already puts the Monte Carlo lines well inside their 2%
+# tolerance.
+MAX_DRAWS = 10_000_000
+
 CURVE_COLUMNS = ("episode", *METRIC_COLUMNS)
 COMPARISON_COLUMNS = ("clip", "policy", *METRIC_COLUMNS)
 
@@ -164,6 +170,10 @@ def _write_manifest(out_dir: Path, command: str, digest: str, seed: int, outputs
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _file_safe(name: str) -> str:
+    return name.replace(":", "-").replace("/", "-")
 
 
 def _load_config_arg(path: Optional[str]) -> dict:
@@ -299,6 +309,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         clips = build_clips(resolved["eval_clips"], args.base_dir)
     if not clips:
         raise ConfigError("no clips to evaluate")
+    # a clip's rows in comparison.csv and its trace files are told apart
+    # by its name alone
+    seen: dict[str, str] = {}
+    for clip in clips:
+        safe = _file_safe(clip.name)
+        if safe in seen:
+            raise ConfigError(f"eval_clips {seen[safe]!r} and {clip.name!r} clash in comparison.csv "
+                              "and trace file names; give each clip a distinct name")
+        seen[safe] = clip.name
 
     episode_cfg = build_episode_config(resolved, seed=seed)
     policies = {spec: _build_policy(spec, nets) for spec in resolved["eval_policies"]}
@@ -308,7 +327,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     outputs = []
 
     def on_result(clip_name: str, policy_name: str, metrics) -> None:
-        safe = f"trace_{clip_name}_{policy_name}".replace(":", "-").replace("/", "-")
+        safe = _file_safe(f"trace_{clip_name}_{policy_name}")
         path = out_dir / f"{safe}.jsonl"
         with path.open("w") as fh:
             for step in metrics.trace:
@@ -338,8 +357,8 @@ def _check_line(name: str, value: float, reference: float, tolerance: float,
 def cmd_channel_check(args: argparse.Namespace) -> int:
     from scipy.integrate import quad  # only this command integrates, so only it loads scipy
 
-    if args.draws < 1:
-        raise ConfigError(f"--draws must be >= 1, got {args.draws}")
+    if not 1 <= args.draws <= MAX_DRAWS:
+        raise ConfigError(f"--draws must be >= 1 and <= {MAX_DRAWS}, got {args.draws}")
     resolved = _load_config_arg(args.config)
     if args.m is not None:
         resolved["channel"]["m"] = args.m

@@ -64,11 +64,12 @@ def test_channel_check_with_few_draws_fails_the_monte_carlo_lines(capsys):
     )
 
 
-@pytest.mark.parametrize("draws", ["0", "-1"])
+# the last is refused before numpy is asked for 8 GB of draws
+@pytest.mark.parametrize("draws", ["0", "-1", "1000000000"])
 def test_channel_check_with_no_draws_gives_exit_2(capsys, draws):
     assert cli.main(["channel-check", "--draws", draws]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err == f"error: --draws must be >= 1, got {draws}\n"
+    assert captured.err == f"error: --draws must be >= 1 and <= 10000000, got {draws}\n"
     assert captured.out == ""
 
 
@@ -553,7 +554,10 @@ def tiny_snapshot(tmp_path_factory):
 
 
 def _evaluate_with(tmp_path, snapshot, spec):
-    path = _write(tmp_path / "config.json", {**TINY, "eval_policies": [spec]})
+    """Evaluate ``snapshot`` with the one policy ``spec``, or, when ``spec``
+    is a dict, under those config keys."""
+    doc = {**TINY, **spec} if isinstance(spec, dict) else {**TINY, "eval_policies": [spec]}
+    path = _write(tmp_path / "config.json", doc)
     return cli.main(["evaluate", "--config", path, "--snapshot", snapshot,
                      "--out", str(tmp_path / "out")])
 
@@ -570,6 +574,15 @@ def test_each_policy_spec_writes_a_row_per_clip(tmp_path, tiny_snapshot, spec):
     ("periodic:0", "bad periodic policy spec 'periodic:0'"),
     ("periodic:x", "bad periodic policy spec 'periodic:x'"),
     ("bogus", "unknown policy spec 'bogus'"),
+    # eval clips whose rows in comparison.csv and trace files would clash
+    ({"eval_clips": [{"kind": "generate", "seed": 5, "frames": 40, "spawn_rate": rate}
+                     for rate in (0.05, 0.9)]},
+     "eval_clips 'traffic-5' and 'traffic-5' clash in comparison.csv and trace file names; "
+     "give each clip a distinct name"),
+    ({"eval_clips": [{"kind": "generate", "seed": seed, "frames": 40, "name": name}
+                     for seed, name in ((5, "cam:1"), (6, "cam/1"))]},
+     "eval_clips 'cam:1' and 'cam/1' clash in comparison.csv and trace file names; "
+     "give each clip a distinct name"),
 ])
 def test_a_bad_policy_spec_gives_exit_2(tmp_path, capsys, tiny_snapshot, spec, message):
     assert _evaluate_with(tmp_path, tiny_snapshot, spec) == cli.EXIT_USAGE

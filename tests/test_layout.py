@@ -128,6 +128,52 @@ def test_decode_rejects_bad_length_and_padding():
         decode_message(corrupted)
 
 
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+            ),
+            max_size=9,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_a_kept_packet_and_decoded_scene_equal_fresh_ones_on_every_call(raw_scenes):
+    scenes, wants = [], []
+    for raw in raw_scenes:
+        boxes = [(cls, min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+                 for cls, x1, y1, x2, y2 in raw]
+        scenes.append(scene(*(car(i, *box, cls=VehicleClass(cls))
+                              for i, (cls, *box) in enumerate(boxes))))
+        payload = pack_records_oracle([(cls, *map(quantize_oracle, box)) for cls, *box in boxes])
+        wants.append(SemanticMessage(payload, len(boxes), 22 * len(boxes)))
+    # the first pass makes each scene's packet, the second reads it back
+    packets = [encode_message(s) for s in scenes]
+    for _ in range(2):
+        for s, packet, want in zip(scenes, packets, wants):
+            msg = encode_message(s)
+            assert msg == want and msg is packet
+    decoded = [decode_message(m) for m in packets]
+    for _ in range(2):
+        for m, d in zip(packets, decoded):
+            assert decode_message(m) is d
+            assert d == decode_message(SemanticMessage(m.payload, m.vehicle_count, m.size_bits))
+    good = encode_message(scene(car(0, 0.2, 0.2, 0.4, 0.4)))
+    corrupted = [SemanticMessage(good.payload[:-1] + bytes([good.payload[-1] | 1]), 1, 22)]
+    corrupted += [SemanticMessage(m.payload[:-1] + bytes([m.payload[-1] | 1]),
+                                  m.vehicle_count, m.size_bits)
+                  for m in packets if m.size_bits % 8]
+    for bad in corrupted:
+        for _ in range(3):
+            with pytest.raises(MessageFormatError):
+                decode_message(bad)
+        assert bad._scene is None
+
+
 @st.composite
 def message_payloads(draw):
     count = draw(st.integers(0, 12))
@@ -419,18 +465,30 @@ def test_semantic_change_through_the_memo_matches_the_oracle_on_unequal_scales(s
 
 
 def test_a_scene_with_a_filled_memo_equals_hashes_copies_and_serializes_as_a_fresh_one():
+    """Scenes with their exact coordinates and packets kept, and packets with
+    their decoded scenes kept, against fresh ones of the same values."""
     frames = [scene(car(0, 5e-324, 0.0, 1e-300, 0.5), car(3, 0.25, 0.125, 0.5, 0.75), index=0),
               scene(car(0, 1 / 32, 0.0, 0.5, 0.5), car(4, 0.1, 0.2, 0.3, 0.4), index=1)]
     value = semantic_change(frames[0], frames[1])
+    packets = [encode_message(f) for f in frames]
+    decoded = [decode_message(m) for m in packets]
     fresh = [SceneAnnotation(f.frame_index, f.vehicles) for f in frames]
-    assert all(f._exact is not None for f in frames) and all(f._exact is None for f in fresh)
-    for filled, empty in zip(frames, fresh):
+    fresh_packets = [SemanticMessage(m.payload, m.vehicle_count, m.size_bits) for m in packets]
+    assert all(f._exact is not None and f._message is m for f, m in zip(frames, packets))
+    assert all(m._scene is d for m, d in zip(packets, decoded))
+    assert all(f._exact is None and f._message is None for f in fresh)
+    assert all(m._scene is None for m in fresh_packets)
+    for filled, empty in zip(frames + packets, fresh + fresh_packets):
         assert filled == empty and hash(filled) == hash(empty) and repr(filled) == repr(empty)
         for copied in (copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
-            assert copied == empty and hash(copied) == hash(empty)
+            assert copied == empty and hash(copied) == hash(empty) and repr(copied) == repr(empty)
     assert semantic_change(*(copy.deepcopy(f) for f in frames)) == value
     assert semantic_change(*(pickle.loads(pickle.dumps(f)) for f in frames)) == value
     assert semantic_change(*fresh) == value
+    for filled, empty in zip(frames, fresh):
+        for copied in (copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
+            assert encode_message(copied) == encode_message(empty)
+            assert decode_message(encode_message(copied)) == decode_message(encode_message(empty))
     assert (clip_to_json(FootageClip("memo", 960, 540, tuple(frames)))
             == clip_to_json(FootageClip("memo", 960, 540, tuple(fresh))))
 

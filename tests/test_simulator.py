@@ -7,7 +7,8 @@ import pytest
 
 from semsample import layout, predictor, simulator
 from semsample.config import default_config, resolve_config
-from semsample.ingest import TrafficGenConfig, generate_traffic
+from semsample.ingest import FootageClip, TrafficGenConfig, generate_traffic
+from semsample.layout import SceneAnnotation
 from semsample.predictor import PredictorConfig
 from semsample.simulator import EpisodeConfig, PeriodicPolicy, SamplingEnv, run_episode
 
@@ -129,6 +130,30 @@ def test_play_yields_one_transition_per_interval_in_order(frames, steps):
         assert (got.action, got.reward, got.terminal) == (want.action, want.reward, want.terminal)
         assert np.array_equal(got.state, want.state)
         assert np.array_equal(got.next_state, want.next_state)
+
+
+def test_replayed_episodes_read_kept_packets_and_trace_as_fresh_environments_do():
+    """A block of episodes on one scene reads each frame's packet and decoded
+    scene as kept by the episodes before it; each must trace as a fresh
+    environment does over a fresh copy of the clip, with nothing kept."""
+    clip = generate_traffic(TrafficGenConfig(lanes=2, spawn_rate=0.5, seed=7), 120, "dense")
+    config = EpisodeConfig(steps=40, predictor=PredictorConfig(grid_width=24, grid_height=16),
+                           energy_scale=ENERGY_SCALE, seed=5)
+    env = SamplingEnv(config, [clip], record_trace=True)
+    for k, period in enumerate((3, 2, 5, 3, 1)):
+        for _ in env.play(PeriodicPolicy(period).decide, new_scene=k == 0):
+            pass
+        fresh_clip = FootageClip(clip.name, clip.frame_width, clip.frame_height,
+                                 tuple(SceneAnnotation(f.frame_index, f.vehicles)
+                                       for f in clip.frames))
+        metrics, _ = run_episode(config, fresh_clip, PeriodicPolicy(period), record_trace=True)
+        assert env.metrics.trace == metrics.trace and env.metrics == metrics
+    kept = [f for f in clip.frames if f._message is not None]
+    assert kept and all(f._message._scene is not None for f in kept)
+    for frame in kept:
+        packet = layout.encode_message(SceneAnnotation(frame.frame_index, frame.vehicles))
+        assert frame._message == packet
+        assert frame._message._scene == layout.decode_message(packet)
 
 
 def test_the_slotted_records_survive_deepcopy_and_pickle_and_traces_keep_their_key_order():

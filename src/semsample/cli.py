@@ -315,8 +315,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for clip in clips:
         safe = _file_safe(clip.name)
         if safe in seen:
-            raise ConfigError(f"eval_clips {seen[safe]!r} and {clip.name!r} clash in comparison.csv "
-                              "and trace file names; give each clip a distinct name")
+            raise ConfigError(f"eval_clips {seen[safe]!r} and {clip.name!r} clash in comparison.csv or in "
+                              "trace file names; give each clip a distinct name")
         seen[safe] = clip.name
 
     episode_cfg = build_episode_config(resolved, seed=seed)

@@ -25,14 +25,15 @@ on which common denominator the pair is read at.
 
 The codec's results are kept the same way.  ``encode_message`` keeps a
 scene's packet on the scene, and ``decode_message`` keeps a packet's decoded
-scene on the packet, each made on the first call that succeeds (a packet
+scene on the packet, each made by the first call that succeeds (a packet
 that fails to decode keeps nothing).  Both are pure functions of their
-input, and an episode replays frames: over 20,000 steps of dense training
-traffic 93% of the frames read have been read before.  The kept packet and
-decoded scene are immutable, so every caller may share them.  Rasters are
-not kept: on the dense training clips (1,500 frames) two 9.6 KB grids a
-frame raised the process's peak memory from 103.5 to 137.3 MiB at a 20 s
-run, a third more, for a saving of a few microseconds a step.
+input, and training replays frames: over 20,000 steps on three dense clips
+(1,500 frames, 8 vehicles a frame) 81% of the calls find their result kept.
+The kept packets and scenes of all those frames take 1.8 MiB, and being
+immutable they are shared by every caller.  Rasters are not kept: a
+120 x 80 grid is 9.6 KB, and keeping the real and the decoded scene's grid
+for each of those frames raised the peak memory of a 20 s training run
+from 109.0 to 136.8 MiB (+25%) for 2% more steps a second.
 """
 from __future__ import annotations
 

@@ -577,11 +577,11 @@ def test_each_policy_spec_writes_a_row_per_clip(tmp_path, tiny_snapshot, spec):
     # eval clips whose rows in comparison.csv and trace files would clash
     ({"eval_clips": [{"kind": "generate", "seed": 5, "frames": 40, "spawn_rate": rate}
                      for rate in (0.05, 0.9)]},
-     "eval_clips 'traffic-5' and 'traffic-5' clash in comparison.csv and trace file names; "
+     "eval_clips 'traffic-5' and 'traffic-5' clash in comparison.csv or in trace file names; "
      "give each clip a distinct name"),
     ({"eval_clips": [{"kind": "generate", "seed": seed, "frames": 40, "name": name}
                      for seed, name in ((5, "cam:1"), (6, "cam/1"))]},
-     "eval_clips 'cam:1' and 'cam/1' clash in comparison.csv and trace file names; "
+     "eval_clips 'cam:1' and 'cam/1' clash in comparison.csv or in trace file names; "
      "give each clip a distinct name"),
 ])
 def test_a_bad_policy_spec_gives_exit_2(tmp_path, capsys, tiny_snapshot, spec, message):

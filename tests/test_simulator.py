@@ -8,7 +8,6 @@ import pytest
 from semsample import layout, predictor, simulator
 from semsample.config import default_config, resolve_config
 from semsample.ingest import FootageClip, TrafficGenConfig, generate_traffic
-from semsample.layout import SceneAnnotation
 from semsample.predictor import PredictorConfig
 from semsample.simulator import EpisodeConfig, PeriodicPolicy, SamplingEnv, run_episode
 
@@ -144,14 +143,14 @@ def test_replayed_episodes_read_kept_packets_and_trace_as_fresh_environments_do(
         for _ in env.play(PeriodicPolicy(period).decide, new_scene=k == 0):
             pass
         fresh_clip = FootageClip(clip.name, clip.frame_width, clip.frame_height,
-                                 tuple(SceneAnnotation(f.frame_index, f.vehicles)
+                                 tuple(layout.SceneAnnotation(f.frame_index, f.vehicles)
                                        for f in clip.frames))
         metrics, _ = run_episode(config, fresh_clip, PeriodicPolicy(period), record_trace=True)
         assert env.metrics.trace == metrics.trace and env.metrics == metrics
     kept = [f for f in clip.frames if f._message is not None]
     assert kept and all(f._message._scene is not None for f in kept)
     for frame in kept:
-        packet = layout.encode_message(SceneAnnotation(frame.frame_index, frame.vehicles))
+        packet = layout.encode_message(layout.SceneAnnotation(frame.frame_index, frame.vehicles))
         assert frame._message == packet
         assert frame._message._scene == layout.decode_message(packet)
 

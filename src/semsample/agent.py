@@ -94,7 +94,8 @@ THREADED_WORK = 1 << 23
 MAX_WIDTH = 4096
 
 # ReplayMemory allocates all its rows up front: 1M rows of the default
-# 153-feature float32 state are 0.6 GB, ten times the paper's 100k memory.
+# 153-feature float32 state and next state are 1.2 GB, ten times the
+# paper's 100k memory.
 MAX_MEMORY_CAPACITY = 1_000_000
 
 
@@ -208,11 +209,8 @@ class ReplayMemory:
     """FIFO ring of transitions with uniform no-replacement batch sampling.
 
     Feature vectors are stored as float32 to halve the footprint; batches
-    are cast to the caller's dtype on the way out.  Each state is stored
-    once: the next state of slot i is the state of slot i + 1, the
-    following push.  A next state that differs from it (zeros at a
-    terminal step, a new stream after a reset) is kept aside, as is the
-    next state of the newest slot.
+    are cast to the caller's dtype on the way out.  Each slot keeps its
+    state and its next state in two arrays of rows.
     """
 
     def __init__(self, capacity: int, state_dim: int, rng: np.random.Generator):
@@ -221,11 +219,10 @@ class ReplayMemory:
         self.capacity = int(capacity)
         self.rng = rng
         self._states = np.zeros((self.capacity, state_dim), dtype=np.float32)
+        self._next_states = np.zeros((self.capacity, state_dim), dtype=np.float32)
         self._actions = np.zeros(self.capacity, dtype=np.int8)
         self._rewards = np.zeros(self.capacity, dtype=np.float32)
         self._terminals = np.zeros(self.capacity, dtype=bool)
-        self._aside: dict[int, np.ndarray] = {}  # slot -> its next state
-        self._has_aside = np.zeros(self.capacity, dtype=bool)
         self._head = 0
         self._size = 0
 
@@ -235,17 +232,10 @@ class ReplayMemory:
     def push(self, transition: Transition) -> None:
         i = self._head
         self._states[i] = transition.state
-        if self._size:
-            prev = (i - 1) % self.capacity
-            # compare bits, so that a -0.0 is not read back as 0.0
-            if self._aside[prev].tobytes() == self._states[i].tobytes():
-                del self._aside[prev]
-                self._has_aside[prev] = False
+        self._next_states[i] = transition.next_state
         self._actions[i] = transition.action
         self._rewards[i] = transition.reward
         self._terminals[i] = transition.terminal
-        self._aside[i] = np.array(transition.next_state, dtype=np.float32)
-        self._has_aside[i] = True
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -253,15 +243,12 @@ class ReplayMemory:
         if batch_size > self._size:
             raise ValueError(f"cannot sample {batch_size} from {self._size} stored")
         idx = self.rng.choice(self._size, size=batch_size, replace=False)
-        next_states = self._states[(idx + 1) % self.capacity]
-        for row in np.flatnonzero(self._has_aside[idx]):
-            next_states[row] = self._aside[int(idx[row])]
         return Batch(
             # the fancy-indexed gathers are copies already
             states=self._states[idx].astype(dtype, copy=False),
             actions=self._actions[idx].astype(np.int64),
             rewards=self._rewards[idx].astype(dtype, copy=False),
-            next_states=next_states.astype(dtype, copy=False),
+            next_states=self._next_states[idx].astype(dtype, copy=False),
             terminals=self._terminals[idx],
         )
 

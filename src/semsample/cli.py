@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Four subcommands: ``train`` (learn a sampling policy on configured clips),
-``evaluate`` (compare a snapshot against periodic baselines), ``channel-check``
+``evaluate`` (compare a snapshot against periodic baselines and the
+deviation-threshold rule), ``channel-check``
 (closed form vs Monte Carlo vs quadrature self-validation of the channel
 math) and ``ingest`` (annotation XML to native clip JSON).
 
@@ -58,6 +59,7 @@ from .layout import RECORD_BITS
 from .simulator import (
     METRIC_COLUMNS,
     AgentPolicy,
+    DeviationPolicy,
     NeverSamplePolicy,
     PeriodicPolicy,
     SamplingEnv,
@@ -201,6 +203,11 @@ def _build_policy(spec: str, nets: Optional[SacNetworks]):
             return PeriodicPolicy(int(spec.split(":", 1)[1]))
         except ValueError as exc:
             raise ConfigError(f"bad periodic policy spec {spec!r}") from exc
+    if spec.startswith("deviation:"):
+        try:
+            return DeviationPolicy(float(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ConfigError(f"bad deviation policy spec {spec!r}: want deviation:THETA, THETA in [0, 1]") from exc
     raise ConfigError(f"unknown policy spec {spec!r}")
 
 

@@ -297,6 +297,22 @@ class DestinationState:
     def queue_len(self) -> int:
         return len(self.pending)
 
+    def upcoming(self) -> VisualLayout:
+        """The predicted layout that the next :meth:`step` pops: what the
+        destination displays at the next interval if nothing arrives, and
+        what a reception there is compared with.
+
+        When the queue is empty this first builds the Case 2b round into
+        ``pending``, so ``step`` pops this same object and builds no round.
+        """
+        if self._last_received is None:
+            raise RuntimeError("destination not bootstrapped (Case 1 missing)")
+        if not self.pending:
+            # Case 2b: chain a new round from the last two displayed layouts
+            older, newer = self._last_displayed[0], self._last_displayed[1]
+            self.pending = self.predictor.predict_layouts(older, newer, 1, self.config.horizon)
+        return self.pending[0]
+
     def step(
         self, t: int, received: Optional[SemanticMessage] = None
     ) -> tuple[VisualLayout, Feedback]:
@@ -318,11 +334,8 @@ class DestinationState:
                 f"step expects interval t={self._last_t + 1}, got t={t}; "
                 "call step once per sensing interval"
             )
-        if not self.pending:
-            # Case 2b: chain a new round from the last two displayed layouts
-            older, newer = self._last_displayed[0], self._last_displayed[1]
-            self.pending = self.predictor.predict_layouts(older, newer, 1, self.config.horizon)
-        predicted = self.pending.popleft()
+        predicted = self.upcoming()
+        self.pending.popleft()
         feedback = Feedback.NONE
         self.last_comparison = None
         if received is None:

@@ -8,6 +8,12 @@ transmitting costs closed-form expected energy, skipping displays a predicted
 layout and is scored by its deviation from the true one.  A destination
 resample request forces the next step's action to transmit.
 
+The observation ends in d_hat_t, the deviation that skipping would score:
+the destination is deterministic given what was sent, so the source mirrors
+it, asks it for the layout it would display (``DestinationState.upcoming``)
+and compares that with the rasterized real scene.  The step reuses both, so
+a skip costs no second rasterization or deviation.
+
 ``SamplingEnv.play`` is the one episode loop: training and evaluation both
 iterate it.
 """
@@ -19,6 +25,7 @@ from typing import Callable, Iterator, Optional, Protocol, Sequence
 import numpy as np
 
 from .agent import (
+    DEVIATION_SCALE,
     RewardConfig,
     SacNetworks,
     StateScaling,
@@ -47,6 +54,7 @@ __all__ = [
     "SamplingPolicy",
     "PeriodicPolicy",
     "NeverSamplePolicy",
+    "DeviationPolicy",
     "AgentPolicy",
     "SamplingEnv",
     "run_episode",
@@ -95,12 +103,20 @@ class StepTrace:
 
 @dataclass
 class EpisodeMetrics:
-    """Per-episode aggregates plus the optional per-step trace."""
+    """Per-episode aggregates plus the optional per-step trace.
+
+    ``mean_deviation`` averages the deviation of the displayed prediction
+    over the skipped intervals, as the reward scores it.
+    ``mean_display_deviation`` averages the deviation of the displayed
+    layout from the real one over every interval, a transmitted one showing
+    its decoded packet: the reconstruction accuracy.
+    """
 
     cumulative_reward: float = 0.0
     total_energy_j: float = 0.0
     bootstrap_energy_j: float = 0.0
     mean_deviation: float = 0.0
+    mean_display_deviation: float = 0.0
     sample_count: int = 0
     steps: int = 0
     truncated: bool = False
@@ -108,7 +124,8 @@ class EpisodeMetrics:
 
 
 # the EpisodeMetrics fields that curves.csv and comparison.csv report
-METRIC_COLUMNS = ("cumulative_reward", "total_energy_j", "mean_deviation", "sample_count")
+METRIC_COLUMNS = ("cumulative_reward", "total_energy_j", "mean_deviation", "mean_display_deviation",
+                  "sample_count")
 
 
 class SamplingPolicy(Protocol):
@@ -135,6 +152,21 @@ class PeriodicPolicy:
 class NeverSamplePolicy:
     def decide(self, features: np.ndarray, t: int) -> int:
         return 0
+
+
+class DeviationPolicy:
+    """Transmits when d_hat_t, the deviation the destination will show if
+    the source stays silent, is above ``threshold``: the causal threshold
+    rule of remote estimation.  It reads d_hat_t back from the state's last
+    feature, exactly, since ``DEVIATION_SCALE`` is a power of two."""
+
+    def __init__(self, threshold: float):
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"deviation threshold must be in [0, 1], got {threshold!r}")
+        self.threshold = threshold
+
+    def decide(self, features: np.ndarray, t: int) -> int:
+        return int(features[-1] / DEVIATION_SCALE > self.threshold)
 
 
 class AgentPolicy:
@@ -223,6 +255,7 @@ class SamplingEnv:
         )
         self._dev_sum = 0.0
         self._dev_count = 0
+        self._display_dev_sum = 0.0
         return self._observe()
 
     def _frame(self, t: int) -> SceneAnnotation:
@@ -235,7 +268,12 @@ class SamplingEnv:
         w = self._window  # shifted in place: features() copies it
         w[1:] = w[:-1]
         w[0] = chi
-        return self.scaling.features(RECORD_BITS * scene.vehicle_count, w)
+        # d_hat_t: the real layout against the one the destination pops at
+        # t; step reuses both for this interval
+        grid = self.config.predictor
+        self._real = rasterize(scene, grid.grid_width, grid.grid_height)
+        self._dev_hat = prediction_deviation(self._real, self.destination.upcoming())
+        return self.scaling.features(RECORD_BITS * scene.vehicle_count, w, self._dev_hat)
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool, dict]:
         if self.metrics is None:
@@ -253,6 +291,7 @@ class SamplingEnv:
             msg = encode_message(scene)
             energy = expected_energy(packet_bits, cfg.link, self.fading)
             displayed, feedback = self.destination.step(t, msg)
+            shown = prediction_deviation(self._real, displayed)
             r = reward(1, energy * cfg.energy_scale, 0.0, cfg.reward)
             deviation = None
             penalized = None
@@ -260,9 +299,9 @@ class SamplingEnv:
             self.metrics.sample_count += 1
             self.metrics.total_energy_j += energy
         else:
-            displayed, feedback = self.destination.step(t, None)
-            real = rasterize(scene, cfg.predictor.grid_width, cfg.predictor.grid_height)
-            deviation = prediction_deviation(real, displayed)
+            # the destination displays the layout d_hat_t was measured on
+            _, feedback = self.destination.step(t, None)
+            deviation = shown = self._dev_hat
             penalized = penalized_deviation(
                 deviation, cfg.reward.deviation_threshold, cfg.reward.penalty
             )
@@ -272,6 +311,7 @@ class SamplingEnv:
             self._dev_sum += deviation
             self._dev_count += 1
         self._pending_force = feedback is Feedback.REQUEST_RESAMPLE
+        self._display_dev_sum += shown
         self.metrics.cumulative_reward += r
         self.metrics.steps += 1
         if self.metrics.trace is not None:
@@ -296,6 +336,7 @@ class SamplingEnv:
             self.metrics.mean_deviation = (
                 self._dev_sum / self._dev_count if self._dev_count else 0.0
             )
+            self.metrics.mean_display_deviation = self._display_dev_sum / self.metrics.steps
             next_features = np.zeros(self.state_dim, dtype=np.float64)
         else:
             next_features = self._observe()

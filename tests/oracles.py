@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
@@ -99,6 +100,18 @@ def rasterize_oracle(scene, width: int, height: int) -> np.ndarray:
             for x in range(x1, x2):
                 grid[y, x] = int(rec.vehicle_class)
     return grid
+
+
+def quantized_scene_oracle(scene):
+    """The scene as its packet decodes it: each coordinate moved to the
+    centre of its 5-bit level, as records that ``rasterize_oracle`` reads."""
+    def centre(coord):
+        return (quantize_oracle(coord) + 0.5) / 32
+
+    return SimpleNamespace(vehicles=[
+        SimpleNamespace(vehicle_class=v.vehicle_class,
+                        box=SimpleNamespace(**{k: centre(getattr(v.box, k)) for k in ("b1", "b2", "b3", "b4")}))
+        for v in scene.vehicles])
 
 
 def predict_layouts_oracle(older, newer, gap: int, horizon: int) -> list[np.ndarray]:

@@ -31,17 +31,29 @@ from semsample.simulator import EpisodeConfig, SamplingEnv
 import oracles
 
 
-def test_state_features_scale_bits_and_chi_and_end_in_the_gain_feature():
+def test_state_features_scale_bits_and_chi_and_end_in_the_destinations_deviation():
     scaling = StateScaling(window=4, chi_cap=8.0)
     chi = np.array([4.0, 2.0, 0.0, 8.0, 1.0])
-    features = scaling.features(44, chi)
+    features = scaling.features(44, chi, 0.125)
     assert features.shape == (4 + 3,) == (scaling.state_dim,)
     assert features.dtype == np.float64
     assert features[0] == 44 / 1408
     np.testing.assert_array_equal(features[1:-1], [0.5, 0.25, 0.0, 1.0, 0.125])
-    assert features[-1] == 1.0
+    assert features[-1] == 0.125 * agent.DEVIATION_SCALE == 0.5
+    # the scale is a power of two, so every deviation reads back exactly
+    assert math.frexp(agent.DEVIATION_SCALE)[0] == 0.5
+    for deviation in (0.0, 1 / 3, 0.07, 0.0700000000000001, 5e-324, 1.0):
+        assert scaling.features(44, chi, deviation)[-1] / agent.DEVIATION_SCALE == deviation
     with pytest.raises(ValueError, match="chi window must have length 5"):
-        scaling.features(44, np.zeros(4))
+        scaling.features(44, np.zeros(4), 0.0)
+
+
+def test_the_default_state_is_eleven_features_and_a_paper_net_104402_parameters():
+    assert StateScaling().window == 8 and StateScaling().state_dim == 11
+    dims = (StateScaling().state_dim, *SacConfig().widths, SacNetworks.N_ACTIONS)
+    assert Mlp(dims, np.random.default_rng(0), np.float32).flat.size == 104_402
+    # still two lanes at the paper's widths and batch
+    assert SacConfig().batch_size * 104_402 > agent.THREADED_WORK
 
 
 class TwoArrayRing:
@@ -404,8 +416,8 @@ def test_flat_updates_equal_per_array_adam_and_soft_updates(dtype):
 
 # -- stacked twin critics --------------------------------------------------
 
-# the paper's critic on the default config's features
-PAPER_DIMS = (StateScaling().state_dim, *SacConfig().widths, SacNetworks.N_ACTIONS)
+# the paper's critic on a 150-wide chi window, the widest state measured
+PAPER_DIMS = (StateScaling(window=150).state_dim, *SacConfig().widths, SacNetworks.N_ACTIONS)
 
 
 def _twins(dtype, dims=(7, 16, 8, 3)):
@@ -745,7 +757,7 @@ def test_every_snapshot_net_reads_back_bit_for_bit_the_stacked_members_too():
     for _ in range(3):
         trainer.update()
     doc = json.loads(json.dumps(trainer.nets.to_dict()))
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     loaded = SacNetworks.from_dict(doc, SMALL_SAC)
     for name in SacNetworks.NETWORKS:  # every net is a view of the one vector
         assert _bits(getattr(loaded, name).flat) == _bits(getattr(trainer.nets, name).flat)
@@ -755,7 +767,7 @@ def test_every_snapshot_net_reads_back_bit_for_bit_the_stacked_members_too():
     nets = trainer.nets
     own = {name: getattr(nets, name).copy() for name in SacNetworks.NETWORKS}
     assert all(own[name].n_stacked == 0 and own[name].flat.base is None for name in own)
-    want = {"format": "semsample-sac-snapshot", "version": 2, "package_version": agent._pkg_version,
+    want = {"format": "semsample-sac-snapshot", "version": 3, "package_version": agent._pkg_version,
             "state_dim": nets.state_dim, "widths": list(SMALL_SAC.widths), "dtype": SMALL_SAC.dtype,
             "log_temperature": nets.log_temperature, **{name: own[name].to_arrays() for name in SacNetworks.NETWORKS}}
     assert json.dumps(nets.to_dict()) == json.dumps(want)
@@ -795,13 +807,13 @@ def test_a_second_loss_call_leaves_the_first_calls_gradients_unchanged():
 
 
 def test_a_warm_update_allocates_a_small_transient_peak():
-    """At widths 64-64 and batch 256 on the default 153 features, the
-    fresh arrays of one update are mainly the batch (313 KiB); the passes
-    run in the nets' buffers and the backward writes the gradients into
-    the trainer's."""
+    """At widths 64-64 and batch 256 on 153 features (a 150-wide chi
+    window), the fresh arrays of one update are mainly the batch (313
+    KiB); the passes run in the nets' buffers and the backward writes the
+    gradients into the trainer's."""
     clip = generate_traffic(TrafficGenConfig(spawn_rate=0.3, seed=4), 80, "small")
     episode = EpisodeConfig(steps=30, predictor=PredictorConfig(grid_width=24, grid_height=16),
-                            energy_scale=ENERGY_SCALE, seed=2)
+                            scaling=StateScaling(window=150), energy_scale=ENERGY_SCALE, seed=2)
     config = SacConfig(widths=(64, 64), batch_size=256, memory_capacity=512, warmup_transitions=256)
     trainer = Trainer(SamplingEnv(episode, [clip]), config, seed=3, scene_refresh_every=20)
     assert trainer.env.state_dim == 153

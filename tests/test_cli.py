@@ -414,16 +414,16 @@ def test_a_snapshot_trained_on_other_state_settings_gives_exit_2(tmp_path, capsy
         argv = ["train", "--config", other, "--resume", snapshot, "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: snapshot state settings {'window': 150, 'chi_cap': 8.0} "
-                          "differ from config {'window': 150, 'chi_cap': 1.0}")
+    assert err.startswith("error: snapshot state settings {'window': 8, 'chi_cap': 8.0} "
+                          "differ from config {'window': 8, 'chi_cap': 1.0}")
     assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"format": "semsample-sac-snapshot", "version": 2}, "missing key 'state_dim'"),
+    ({"format": "semsample-sac-snapshot", "version": 3}, "missing key 'state_dim'"),
     ([1, 2], "snapshot must be a JSON object, got list"),
-    ({"format": "semsample-sac-snapshot", "version": 2, "state_dim": "many",
+    ({"format": "semsample-sac-snapshot", "version": 3, "state_dim": "many",
       "log_temperature": 0.0}, "invalid literal"),
     (DEEP_JSON, "nests too deeply to read"),
 ])
@@ -452,7 +452,7 @@ def test_a_snapshot_with_bad_shapes_or_episode_count_gives_exit_2(tmp_path, caps
     q2 = doc["q2"]
     truncated = base64.b64encode(base64.b64decode(q2["flat"])[:-4]).decode()  # drop the last value
     for i, (net, message) in enumerate([
-        ({**q2, "flat": truncated}, "network flat holds 11076 bytes, dims (153, 16, 16, 2) need 11080 as <f4"),
+        ({**q2, "flat": truncated}, "network flat holds 1988 bytes, dims (11, 16, 16, 2) need 1992 as <f4"),
         ({**q2, "flat": q2["flat"][:-2] + "!="}, "network flat is not base64"),
         ({**q2, "stored": "<i4"}, "network stored type '<i4' is not a little-endian float type"),
         ({**q2, "stored": ">f4"}, "network stored type '>f4' is not a little-endian float type"),
@@ -465,18 +465,19 @@ def test_a_snapshot_with_bad_shapes_or_episode_count_gives_exit_2(tmp_path, caps
         assert err.startswith("error: malformed snapshot: ") and message in err
         assert len(err.splitlines()) == 1
 
-    snapshot = _write(tmp_path / "version_1.json", {**doc, "version": 1})
+    # version 2 nets read a constant where version 3 has the deviation
+    snapshot = _write(tmp_path / "version_2.json", {**doc, "version": 2})
     assert cli.main(["evaluate", "--config", config, "--snapshot", snapshot,
                      "--out", str(tmp_path / "eval")]) == cli.EXIT_USAGE
     assert capsys.readouterr().err == (
-        "error: snapshot version 1 is not supported; this reader takes version 2\n")
+        "error: snapshot version 2 is not supported; this reader takes version 3\n")
 
     narrow = {**TINY, "agent": {**TINY["agent"], "widths": [8, 8]}}
     assert cli.main(["evaluate", "--config", _write(tmp_path / "narrow.json", narrow),
                      "--snapshot", str(tmp_path / "first" / "snapshot.json"),
                      "--out", str(tmp_path / "eval")]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert "actor shapes (153, 16, 16, 2) incompatible with config (153, 8, 8, 2)" in err
+    assert "actor shapes (11, 16, 16, 2) incompatible with config (11, 8, 8, 2)" in err
 
     doc["trained_episodes"] = "1"
     snapshot = _write(tmp_path / "bad_count.json", doc)
@@ -562,7 +563,7 @@ def _evaluate_with(tmp_path, snapshot, spec):
                      "--out", str(tmp_path / "out")])
 
 
-@pytest.mark.parametrize("spec", ["agent", "periodic:3", "never"])
+@pytest.mark.parametrize("spec", ["agent", "periodic:3", "never", "deviation:0.07"])
 def test_each_policy_spec_writes_a_row_per_clip(tmp_path, tiny_snapshot, spec):
     assert _evaluate_with(tmp_path, tiny_snapshot, spec) == cli.EXIT_OK
     rows = _rows(tmp_path / "out" / "comparison.csv")
@@ -583,6 +584,9 @@ def test_each_policy_spec_writes_a_row_per_clip(tmp_path, tiny_snapshot, spec):
                      for seed, name in ((5, "cam:1"), (6, "cam/1"))]},
      "eval_clips 'cam:1' and 'cam/1' clash in comparison.csv or in trace file names; "
      "give each clip a distinct name"),
+    *((spec, f"bad deviation policy spec {spec!r}: want deviation:THETA, THETA in [0, 1]")
+      for spec in ("deviation:", "deviation:x", "deviation:-0.1", "deviation:1.5", "deviation:nan",
+                   "deviation:inf")),
 ])
 def test_a_bad_policy_spec_gives_exit_2(tmp_path, capsys, tiny_snapshot, spec, message):
     assert _evaluate_with(tmp_path, tiny_snapshot, spec) == cli.EXIT_USAGE

@@ -154,7 +154,7 @@ def test_the_default_config_builds_these_dataclasses():
                                   deviation_threshold=0.07, max_track_speed=0.04),
         reward=RewardConfig(w1=10.0, w2=-6.0, w3=1.0, w4=2.0, deviation_threshold=0.07,
                             penalty=0.5),
-        scaling=StateScaling(window=150, chi_cap=8.0),
+        scaling=StateScaling(window=8, chi_cap=8.0),
         energy_scale=resolved["energy"]["scale"],
         seed=0,
     )
@@ -194,10 +194,40 @@ def test_the_resolved_configs_are_pinned():
     # manifests record these digests as config_sha256; a change here is a
     # change of the experiment that every run of the default config does
     assert config.config_digest(config.resolve_config(config.default_config())) == (
-        "3391ab82fef45de9322ba85db3a5ff6626886368cc40d480d883fd409e177053")
+        "1494795c0300808f3058e198f32d556b11db267ce33465f244dbc2fae2642079")
     digest_config = Path(__file__).parents[1] / "bench" / "digest_config.json"
     assert config.config_digest(config.resolve_config(config.load_config(digest_config))) == (
-        "cd313e643b63247f102a225af47f50d081512dfda5e31797fbe94852f0e3f8be")
+        "4c303c9136e73b20ecc420773ebfb1e8137fc0fe0599a55f840b2d993b1b8a69")
+
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_every_checked_in_config_resolves_and_builds_its_clips(path):
+    resolved = config.resolve_config(config.load_config(path))
+    config.build_episode_config(resolved)
+    config.build_sac_config(resolved)
+    for key in ("train_clips", "eval_clips"):
+        assert config.build_clips(resolved[key], path.parent)
+
+
+def test_the_probe_configs_differ_only_in_their_eval_clips():
+    """Both carry the probe protocol's training settings, so one snapshot
+    serves both clip sets: validation clips with generator seeds 301-303 and
+    the shipped eval clips."""
+    valid, held_out = (config.resolve_config(config.load_config(Path(__file__).parents[1] / "configs" / name))
+                       for name in ("probe-valid.json", "probe-eval.json"))
+    assert {k: v for k, v in valid.items() if k != "eval_clips"} == {
+        k: v for k, v in held_out.items() if k != "eval_clips"}
+    assert held_out["eval_clips"] == config.DEFAULTS["eval_clips"]
+    assert [c["seed"] for c in valid["eval_clips"]] == [301, 302, 303]
+    assert [{**c, "seed": 0, "name": ""} for c in valid["eval_clips"]] == [
+        {**c, "seed": 0, "name": ""} for c in held_out["eval_clips"]]
+    assert valid["agent"] == {**config.DEFAULTS["agent"], "widths": [32, 32], "batch_size": 64,
+                              "warmup_transitions": 64, "actor_lr": 3e-4, "critic_lr": 3e-4,
+                              "temperature_lr": 3e-4, "tau": 0.005, "gamma": 0.9, "target_entropy": 0.3}
+    assert valid["training"]["episodes"] == 200
 
 
 def test_resolving_leaves_the_input_and_the_defaults_alone():

@@ -373,6 +373,33 @@ def test_step_requires_bootstrap():
     dest = DestinationState(CFG)
     with pytest.raises(RuntimeError):
         dest.step(1, None)
+    with pytest.raises(RuntimeError):
+        dest.upcoming()
+
+
+@pytest.mark.parametrize("received_at", [None, 6, 7])
+def test_the_upcoming_layout_is_the_one_step_pops_and_its_round_is_built_once(received_at):
+    """Asked at every interval, also when the queue is empty (t = 6, Case
+    2b), the upcoming layout is the object ``step`` then displays or
+    compares a reception with, and a destination never asked shows the
+    same bits and feedback.  The chained round is built once."""
+    predictor = CountingPredictor(CFG)
+    dest, twin = boot(predictor=predictor), boot()
+    msg = encode_message(scene(rec(0, 0.35)))
+    for t in range(1, 10):
+        built = len(predictor.layout_calls)
+        ahead = dest.upcoming()
+        assert dest.upcoming() is ahead
+        assert len(predictor.layout_calls) == built + (t == 6)
+        received = msg if t == received_at else None
+        shown, feedback = dest.step(t, received)
+        want, want_feedback = twin.step(t, received)
+        assert shown.grid.tobytes() == want.grid.tobytes() and feedback is want_feedback
+        if received is None:
+            assert shown is ahead
+        else:
+            assert dest.last_comparison == twin.last_comparison == prediction_deviation(shown, ahead)
+    assert len(predictor.layout_calls) == 1
 
 
 # -- rounds built on pop ------------------------------------------------------------

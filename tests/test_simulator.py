@@ -5,13 +5,25 @@ import pickle
 import numpy as np
 import pytest
 
-from semsample import layout, predictor, simulator
+from semsample import agent, layout, predictor, simulator
 from semsample.config import default_config, resolve_config
 from semsample.ingest import FootageClip, TrafficGenConfig, generate_traffic
-from semsample.predictor import PredictorConfig
-from semsample.simulator import EpisodeConfig, PeriodicPolicy, SamplingEnv, run_episode
+from semsample.layout import BoundingBox, SceneAnnotation, VehicleClass, VehicleRecord, VisualLayout
+from semsample.predictor import DestinationState, PredictorConfig
+from semsample.simulator import (
+    DeviationPolicy,
+    EpisodeConfig,
+    PeriodicPolicy,
+    SamplingEnv,
+    run_episode,
+)
 
-from oracles import prediction_deviation_oracle, semantic_change_oracle
+from oracles import (
+    prediction_deviation_oracle,
+    quantized_scene_oracle,
+    rasterize_oracle,
+    semantic_change_oracle,
+)
 
 # the energy scale that the shipped config resolves to
 ENERGY_SCALE = resolve_config(default_config())["energy"]["scale"]
@@ -43,11 +55,20 @@ def dense_episode(monkeypatch):
     return metrics, chi_calls, dev_calls, case3_calls
 
 
+def _split_deviation_calls(trace, dev_calls):
+    """The simulator's deviation calls per step: d_hat_t, observed before
+    the step, then, on a transmission, the decoded packet's against the
+    real layout."""
+    calls = iter(dev_calls)
+    return [(next(calls), next(calls) if step.action else None) for step in trace]
+
+
 def test_episode_is_dense_and_mixes_transmits_and_skips(dense_episode):
     metrics, chi_calls, dev_calls, _ = dense_episode
     assert metrics.steps == 60 and not metrics.truncated
     assert 0 < metrics.sample_count < 60
-    assert len(dev_calls) == 60 - metrics.sample_count
+    # one d_hat per step, one reconstruction deviation per transmission
+    assert len(dev_calls) == 60 + metrics.sample_count
     vehicles = [len(args[0].vehicles) for args, _ in chi_calls]
     assert sum(vehicles) / len(vehicles) > 5
 
@@ -61,8 +82,12 @@ def test_every_chi_equals_the_exact_oracle(dense_episode):
 
 def test_every_deviation_equals_the_pixel_oracle(dense_episode):
     metrics, _, dev_calls, case3_calls = dense_episode
-    skipped = [step.deviation for step in metrics.trace if step.action == 0]
-    assert skipped == [result for _, result in dev_calls]
+    per_step = _split_deviation_calls(metrics.trace, dev_calls)
+    # a skip is scored by the d_hat observed for it, on the same layouts
+    assert [step.deviation for step in metrics.trace if step.action == 0] == [
+        d_hat[1] for step, (d_hat, _) in zip(metrics.trace, per_step) if step.action == 0]
+    shown = [d_hat[1] if shown is None else shown[1] for d_hat, shown in per_step]
+    assert metrics.mean_display_deviation == sum(shown) / len(shown)
     assert case3_calls  # the destination compared receptions with predictions
     for args, result in dev_calls + case3_calls:
         assert result == float(prediction_deviation_oracle(*args))
@@ -188,3 +213,130 @@ def test_the_slotted_records_survive_deepcopy_and_pickle_and_traces_keep_their_k
         a, b = env.step(policy.decide(None, t)), twin.step(policy.decide(None, t))
         assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
     assert twin.metrics.trace == env.metrics.trace and len(env.metrics.trace) == 30
+
+
+# -- the destination's deviation d_hat, and the reconstruction accuracy -------
+
+HAND_GRID = PredictorConfig(grid_width=24, grid_height=16)
+
+
+def _hand_clip(frames=32):
+    """A car drifting right, a bus drifting left faster, and a van that
+    enters at frame 12 and jumps at frame 20, so that the destination's
+    predictions drift, a reception can miss its prediction, and the queue
+    runs dry between receptions."""
+    scenes = []
+    for i in range(frames):
+        vehicles = [VehicleRecord(0, VehicleClass.CAR, BoundingBox(0.05 + 0.013 * i, 0.40, 0.25 + 0.013 * i, 0.55)),
+                    VehicleRecord(1, VehicleClass.BUS, BoundingBox(0.74 - 0.021 * i, 0.05, 0.94 - 0.021 * i, 0.30))]
+        if i >= 12:
+            x = 0.30 + 0.01 * (i - 12) + (0.25 if i >= 20 else 0.0)
+            vehicles.append(VehicleRecord(2, VehicleClass.VAN, BoundingBox(x, 0.70, x + 0.15, 0.85)))
+        scenes.append(SceneAnnotation(i, tuple(vehicles)))
+    return FootageClip("hand", 1920, 1080, tuple(scenes))
+
+
+def _hand_config(clip):
+    # as many steps as the clip holds past its bootstrap pair: offset 0
+    return EpisodeConfig(steps=len(clip) - 2, predictor=HAND_GRID, energy_scale=ENERGY_SCALE, seed=3)
+
+
+def _real_layout(scene):
+    return VisualLayout(rasterize_oracle(scene, HAND_GRID.grid_width, HAND_GRID.grid_height))
+
+
+def _play_beside_a_mirror(clip, policy):
+    """Play ``policy`` over the clip.  Beside the environment a second
+    destination, bootstrapped from the same packets and never asked for its
+    upcoming layout, receives what the source sends; before each step a copy
+    of it is stepped silently to show the layout the destination would
+    display.  Yields (t, features, the policy's choice, oracle d_hat_t),
+    and returns the environment."""
+    env = SamplingEnv(_hand_config(clip), [clip], record_trace=True)
+    mirror = DestinationState.bootstrap(layout.encode_message(clip.frames[0]),
+                                        layout.encode_message(clip.frames[1]), HAND_GRID)
+    seen = []
+
+    def decide(features, t):
+        shown, _ = copy.deepcopy(mirror).step(t, None)
+        d_hat = float(prediction_deviation_oracle(_real_layout(clip.frames[t + 1]), shown))
+        choice = policy.decide(features, t)
+        seen.append((t, features, choice, d_hat))
+        return choice
+
+    for transition in env.play(decide):
+        t = seen[-1][0]
+        mirror.step(t, layout.encode_message(clip.frames[t + 1]) if transition.action else None)
+    return env, seen
+
+
+@pytest.mark.parametrize("policy", [PeriodicPolicy(4), PeriodicPolicy(7), simulator.NeverSamplePolicy()],
+                         ids=["periodic-4", "periodic-7", "never"])
+def test_each_observed_d_hat_is_the_oracle_deviation_of_the_layout_the_destination_would_show(policy):
+    clip = _hand_clip()
+    env, seen = _play_beside_a_mirror(clip, policy)
+    trace = env.metrics.trace
+    assert len(seen) == env.metrics.steps == 30
+    for t, features, _, d_hat in seen:
+        assert features[-1] == d_hat * agent.DEVIATION_SCALE
+    # a skip is scored by the d_hat observed for it
+    for (_, _, _, d_hat), step in zip(seen, trace):
+        assert step.deviation == (None if step.action else d_hat)
+    d_hats = [d_hat for *_, d_hat in seen]
+    assert min(d_hats) < 0.07 < max(d_hats)
+    # with 5 predictions a round, a gap of 6 or more silent steps empties
+    # the queue: d_hat's own observation builds the chained round (Case 2b)
+    chained = any(before.queue_len == 0 for before in trace[:-1])
+    assert chained is (policy.decide(None, 4) == 0)
+
+
+@pytest.mark.parametrize("from_step", [1, 7])
+def test_the_deviation_rule_transmits_exactly_when_d_hat_is_above_its_threshold(from_step):
+    """The threshold is a d_hat the rule meets, so one step sits exactly on
+    it and must stay silent."""
+    clip = _hand_clip()
+    _, probe = _play_beside_a_mirror(clip, simulator.NeverSamplePolicy())
+    theta = probe[from_step - 1][3]
+    env, seen = _play_beside_a_mirror(clip, DeviationPolicy(theta))
+    choices = [choice for _, _, choice, _ in seen]
+    assert choices == [int(d_hat > theta) for *_, d_hat in seen]
+    assert any(d_hat == theta for *_, d_hat in seen)
+    assert 0 < sum(choices) < len(choices)
+    for choice, step in zip(choices, env.metrics.trace):
+        assert step.action == (1 if step.forced else choice)
+
+
+def test_the_deviation_rule_refuses_a_threshold_outside_0_to_1():
+    for theta in (-0.01, 1.01, float("nan")):
+        with pytest.raises(ValueError, match="deviation threshold must be in"):
+            DeviationPolicy(theta)
+
+
+def test_every_interval_deviation_of_periodic_1_is_each_frames_quantization_error():
+    clip = _hand_clip()
+    metrics, _ = run_episode(_hand_config(clip), clip, PeriodicPolicy(1))
+    assert metrics.sample_count == metrics.steps == 30
+    floors = [float(prediction_deviation_oracle(
+        _real_layout(frame),
+        VisualLayout(rasterize_oracle(quantized_scene_oracle(frame), HAND_GRID.grid_width, HAND_GRID.grid_height))))
+        for frame in clip.frames[2:]]
+    assert max(floors) > 0
+    assert metrics.mean_display_deviation == sum(floors) / len(floors)
+    assert metrics.mean_deviation == 0.0  # no skipped interval
+
+
+def test_every_interval_deviation_mixes_skips_and_decoded_packets():
+    clip = _hand_clip()
+    metrics, _ = run_episode(_hand_config(clip), clip, PeriodicPolicy(3), record_trace=True)
+    shown = []
+    for step, frame in zip(metrics.trace, clip.frames[2:]):
+        if step.action:
+            shown.append(float(prediction_deviation_oracle(
+                _real_layout(frame),
+                VisualLayout(rasterize_oracle(quantized_scene_oracle(frame), HAND_GRID.grid_width,
+                                              HAND_GRID.grid_height)))))
+        else:
+            shown.append(step.deviation)
+    assert metrics.mean_display_deviation == sum(shown) / len(shown)
+    skipped = [step.deviation for step in metrics.trace if not step.action]
+    assert metrics.mean_deviation == sum(skipped) / len(skipped)

@@ -4,11 +4,12 @@ The agent observes the pending packet size, a sliding window of semantic
 change values and d_hat, the deviation the destination will show if the
 source stays silent, and decides once per sensing interval whether to
 transmit.  The source can compute d_hat because it mirrors the
-destination, which is deterministic given what was sent.  Because the action space is binary, every
-expectation over actions in the actor, critic and temperature losses is a
-two-term sum evaluated exactly; no sampling estimator is involved.  All
-gradients are analytic (see :mod:`semsample.nets`) and are checked against
-finite differences in the test suite.
+destination, which is deterministic given what was sent.  Because the
+action space is binary, every expectation over actions in the actor,
+critic and temperature losses is a two-term sum evaluated exactly; no
+sampling estimator is involved.  All gradients are analytic (see
+:mod:`semsample.nets`) and are checked against finite differences in the
+test suite.
 
 Every loss of an update reads the parameters as they were when the update
 began (Haarnoja et al. 2018): the actor loss takes the critics' values from

@@ -207,7 +207,8 @@ def _build_policy(spec: str, nets: Optional[SacNetworks]):
         try:
             return DeviationPolicy(float(spec.split(":", 1)[1]))
         except ValueError as exc:
-            raise ConfigError(f"bad deviation policy spec {spec!r}: want deviation:THETA, THETA in [0, 1]") from exc
+            raise ConfigError(f"bad deviation policy spec {spec!r}: "
+                              "want deviation:THETA, THETA in [0, 1]") from exc
     raise ConfigError(f"unknown policy spec {spec!r}")
 
 

@@ -247,11 +247,11 @@ def _real_layout(scene):
 
 def _play_beside_a_mirror(clip, policy):
     """Play ``policy`` over the clip.  Beside the environment a second
-    destination, bootstrapped from the same packets and never asked for its
-    upcoming layout, receives what the source sends; before each step a copy
-    of it is stepped silently to show the layout the destination would
-    display.  Yields (t, features, the policy's choice, oracle d_hat_t),
-    and returns the environment."""
+    destination, bootstrapped from the same packets, receives what the
+    source sends; before each step a copy of it is stepped silently to show
+    the layout the destination would display, and the oracles rasterize the
+    real frame and measure the deviation.  Returns the environment and, per step, (t, features, the
+    policy's choice, the oracle's d_hat_t)."""
     env = SamplingEnv(_hand_config(clip), [clip], record_trace=True)
     mirror = DestinationState.bootstrap(layout.encode_message(clip.frames[0]),
                                         layout.encode_message(clip.frames[1]), HAND_GRID)

@@ -312,31 +312,22 @@ def test_the_deviation_rule_refuses_a_threshold_outside_0_to_1():
             DeviationPolicy(theta)
 
 
-def test_every_interval_deviation_of_periodic_1_is_each_frames_quantization_error():
+@pytest.mark.parametrize("period", [1, 3])
+def test_every_interval_deviation_is_each_sent_frames_quantization_error_and_each_skips_deviation(period):
+    """periodic:1 sends every frame, so its every-interval deviation is the
+    mean of each frame's quantization error; periodic:3 mixes those with
+    the skipped intervals' deviations."""
     clip = _hand_clip()
-    metrics, _ = run_episode(_hand_config(clip), clip, PeriodicPolicy(1))
-    assert metrics.sample_count == metrics.steps == 30
-    floors = [float(prediction_deviation_oracle(
-        _real_layout(frame),
-        VisualLayout(rasterize_oracle(quantized_scene_oracle(frame), HAND_GRID.grid_width, HAND_GRID.grid_height))))
-        for frame in clip.frames[2:]]
-    assert max(floors) > 0
-    assert metrics.mean_display_deviation == sum(floors) / len(floors)
-    assert metrics.mean_deviation == 0.0  # no skipped interval
-
-
-def test_every_interval_deviation_mixes_skips_and_decoded_packets():
-    clip = _hand_clip()
-    metrics, _ = run_episode(_hand_config(clip), clip, PeriodicPolicy(3), record_trace=True)
+    metrics, _ = run_episode(_hand_config(clip), clip, PeriodicPolicy(period), record_trace=True)
     shown = []
     for step, frame in zip(metrics.trace, clip.frames[2:]):
         if step.action:
-            shown.append(float(prediction_deviation_oracle(
-                _real_layout(frame),
-                VisualLayout(rasterize_oracle(quantized_scene_oracle(frame), HAND_GRID.grid_width,
-                                              HAND_GRID.grid_height)))))
+            decoded = rasterize_oracle(quantized_scene_oracle(frame), HAND_GRID.grid_width, HAND_GRID.grid_height)
+            shown.append(float(prediction_deviation_oracle(_real_layout(frame), VisualLayout(decoded))))
         else:
             shown.append(step.deviation)
+    assert max(shown) > 0
     assert metrics.mean_display_deviation == sum(shown) / len(shown)
     skipped = [step.deviation for step in metrics.trace if not step.action]
-    assert metrics.mean_deviation == sum(skipped) / len(skipped)
+    assert metrics.mean_deviation == (sum(skipped) / len(skipped) if skipped else 0.0)
+    assert (metrics.sample_count == metrics.steps == 30) is (period == 1)

@@ -727,7 +727,8 @@ class Trainer:
         # steps a 0-d copy of it
         self.opt_temperature = Adam(np.zeros(()), cfg.temperature_lr)
         # the gradient vector of the step, laid out as trained.flat, and its
-        # layers as views of it, which the backward fills
+        # layers as views of it, which the backward fills and the step then
+        # overwrites with its scratch
         self._grad = np.empty_like(trained.flat)
         self._grads = _grad_views(trained, self._grad)
 

@@ -142,7 +142,8 @@ def _share_cores_between_lanes(lane_count: int) -> None:
     count; with no OpenBLAS thread-count setter, change nothing.  Both
     lanes call BLAS at once: on a 2-core x86-64 VM a paper-width update
     took 14.8-15.3 ms on two lanes at 1 BLAS thread, and 19.7-19.9 ms at
-    OpenBLAS's default of 2."""
+    OpenBLAS's default of 2.  The ``cpu_count // 2`` rule has been measured
+    on 2 cores only; on 4 or more it is untested."""
     if lane_count != 2 or "OPENBLAS_NUM_THREADS" in os.environ:
         return
     setter = _openblas_function("set")

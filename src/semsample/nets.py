@@ -40,11 +40,16 @@ and the ReLU masks of :meth:`Mlp.backward`.  A multi-MB array made fresh
 on every call is handed back to the OS when freed and faults its pages in
 again on the next call.  :meth:`Mlp.backward` writes each layer's delta
 into the activation buffer it has just consumed, so it keeps no delta
-buffers and consumes its cache.  A cache holds its hidden activations
+buffers and consumes its cache.  Each layer's mask is read right after it
+is written, so a member's masks are views of one block, rows x its widest
+hidden layer; no two members share a byte, so two threads may
+backpropagate two members at once.  A cache holds its hidden activations
 until ``backward`` consumes it or until the next pass on as many rows of
 the same net, or of a net that shares its buffers.  What outlives the call
 is always fresh: the output (and so what :meth:`Mlp.forward` returns) and
-the gradients of :meth:`Mlp.backward`.
+the gradients of :meth:`Mlp.backward`.  :meth:`Adam._step_part` uses the
+gradient it is handed as scratch, which the trainer refills on every
+backward; :meth:`Adam.step` steps a copy.
 
 :meth:`Mlp.to_arrays` packs ``flat`` as base64 of its little-endian bytes,
 with that element type (``"<f4"`` for float32) in ``stored`` beside the
@@ -142,13 +147,20 @@ class Mlp:
     def _buffers_for(self, kind: str, rows: int) -> list[np.ndarray]:
         """One array per hidden layer, ``(rows, width)`` or ``(n, rows,
         width)``: ReLU masks for ``kind`` "mask", activations of the net's
-        dtype for "act".  Made when first asked for at ``rows`` rows, reused
-        after."""
+        dtype for "act".  The masks are views at the start of one bool
+        block per member of rows x the widest hidden layer, so a member's
+        layers share its block.  Made when first asked for at ``rows``
+        rows, reused after."""
         key = (kind, rows)
         if key not in self._buffers:
             lead = (self.n_stacked,) if self.n_stacked else ()
-            dtype = bool if kind == "mask" else self.dtype
-            self._buffers[key] = [np.empty((*lead, rows, d), dtype) for d in self.dims[1:-1]]
+            hidden = self.dims[1:-1]
+            if kind == "mask":
+                block = np.empty((*lead, rows * max(hidden, default=0)), bool)
+                self._buffers[key] = [block[..., :rows * d].reshape(*lead, rows, d, copy=False)
+                                      for d in hidden]
+            else:
+                self._buffers[key] = [np.empty((*lead, rows, d), self.dtype) for d in hidden]
         return self._buffers[key]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -288,6 +300,11 @@ class Adam:
     denominator at ``eps``; flushing a float32 ``m`` moves a parameter by
     at most lr * 2**-96 (at eps 1e-8), under half an ulp of any parameter
     much larger than lr * 2**-72.
+
+    A step's temporaries go into a copy of the gradient, one float scratch
+    array of ``param``'s shape and one bool array for the flush's mask, so
+    a step allocates nothing but that copy; :meth:`_step_part` skips even
+    the copy and writes into the gradient it is handed.
     """
 
     def __init__(self, param: np.ndarray, lr: float | Sequence[tuple[slice, float]],
@@ -297,9 +314,9 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
-        # two scratch arrays in place of fresh temporaries and one for the
-        # flush's mask
-        self._scratch = (np.empty_like(param), np.empty_like(param), np.empty(np.shape(param), bool))
+        # a scratch array beside the gradient, which the step also uses as
+        # scratch, in place of fresh temporaries, and one for the flush's mask
+        self._scratch = (np.empty_like(param), np.empty(np.shape(param), bool))
         # the flush's threshold, the smallest normal float
         self._tiny = np.finfo(self.m.dtype).tiny
         # the (start, stop, rate) of each range of entries
@@ -309,7 +326,8 @@ class Adam:
             self._rates = tuple((*entries.indices(self.m.size)[:2], rate) for entries, rate in lr)
 
     def step(self, p: np.ndarray, g: np.ndarray) -> None:
-        self._step_part(self._count_step(), p, g)
+        """Step ``p`` with gradient ``g``, which is left as it was."""
+        self._step_part(self._count_step(), p, np.array(g, p.dtype))
 
     def _count_step(self) -> tuple[float, float]:
         """Count one step; returns its bias corrections for
@@ -321,19 +339,21 @@ class Adam:
                    part: Optional[slice] = None) -> None:
         """Step ``p`` with gradient ``g``; only the entries ``part``, a
         slice of a 1-D vector, of both when given.  The step is
-        elementwise, so the parts of an array give the bits of the whole."""
-        m, v, (s, r, small) = self.m, self.v, self._scratch
+        elementwise, so the parts of an array give the bits of the whole.
+        It overwrites ``g``'s entries with scratch, unless ``g`` is of
+        another dtype than ``p``."""
+        m, v, (r, small) = self.m, self.v, self._scratch
         if part is not None:
-            p, g, m, v, s, r, small = (a[part] for a in (p, g, m, v, s, r, small))
+            p, g, m, v, r, small = (a[part] for a in (p, g, m, v, r, small))
         b1, b2 = self.beta1, self.beta2
         bias1, bias2 = bias
         g = g.astype(p.dtype, copy=False)
         m *= b1
-        m += np.multiply(1.0 - b1, g, out=s)
+        m += np.multiply(1.0 - b1, g, out=r)
         v *= b2
-        v += np.multiply(1.0 - b2, np.square(g, out=s), out=s)
+        v += np.multiply(1.0 - b2, np.square(g, out=g), out=g)
         # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
-        step = np.divide(m, bias1, out=s)
+        step = np.divide(m, bias1, out=g)
         rates = self._rates
         if len(rates) == 1:  # one rate, whatever the part
             np.multiply(rates[0][2], step, out=step)
@@ -346,13 +366,14 @@ class Adam:
                     np.multiply(rate, step[lo:hi], out=step[lo:hi])
         denom = np.sqrt(np.divide(v, bias2, out=r), out=r)
         denom += self.eps
-        p -= np.divide(s, denom, out=s)
+        p -= np.divide(g, denom, out=g)
         # the flush multiplies by the mask of entries kept, 1 or 0, and adds
         # +0.0, which turns the -0.0 of a negative flushed entry into +0.0
         # (a NaN stays NaN): the bits of writing 0 to the flushed entries,
         # for every value arithmetic makes, without the masked write, which
-        # ran 2-3x slower than both passes at 32-32 widths
-        m *= np.greater_equal(np.abs(m, out=s), self._tiny, out=small)
+        # ran 2-3x slower than both passes at 32-32 widths.  v holds no
+        # negatives and no -0.0 (it starts at +0.0 and only adds squares),
+        # so its flush needs no add
+        m *= np.greater_equal(np.abs(m, out=r), self._tiny, out=small)
         m += 0.0
-        v *= np.greater_equal(v, self._tiny, out=small)  # v holds no negatives
-        v += 0.0
+        v *= np.greater_equal(v, self._tiny, out=small)

@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import sys
@@ -844,6 +845,59 @@ def test_a_warm_update_shares_the_critics_buffers_and_keeps_no_deltas():
                                        for name in NETS_AND_STACKS}.values() for key in buffers]
     assert sorted(buffer_sets) == [("act", 16), ("mask", 16)]
     assert set(nets.trained._buffers) == {("act", 16), ("mask", 16)}
+
+
+def _start(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_a_laned_update_keeps_one_mask_block_per_member():
+    """Each member's ReLU masks are views at the start of its own block of
+    rows x the widest hidden layer, so the two lanes, which backpropagate
+    different members at once, never write the same mask byte."""
+    trainer = _trainer(config=PAPER_SAC)
+    assert trainer.lane_count == 2
+    _fill_memory(trainer, 160)
+    trainer.update()
+    trained = trainer.nets.trained
+    rows, hidden = PAPER_SAC.batch_size, trained.dims[1:-1]
+    masks = trained._buffers_for("mask", rows)
+    assert [m.shape for m in masks] == [(trained.n_stacked, rows, d) for d in hidden]
+    members = [[m[k] for m in masks] for k in range(trained.n_stacked)]
+    for views in members:
+        assert {_start(v) for v in views} == {_start(views[0])}
+        assert all(np.shares_memory(v, views[0]) for v in views)
+    for j, k in itertools.combinations(range(trained.n_stacked), 2):
+        assert not any(np.shares_memory(a, b) for a in members[j] for b in members[k])
+    block = rows * max(hidden)
+    assert [_start(views[0]) - _start(members[0][0]) for views in members] == [
+        k * block for k in range(trained.n_stacked)]
+    assert masks[0].base.nbytes == trained.n_stacked * block
+
+
+def test_adam_step_leaves_its_gradient_and_a_part_step_in_a_copy_gives_the_textbook_bits():
+    """``step`` copies its gradient; ``_step_part`` writes its scratch into
+    the gradient it is handed, beside one float scratch array of its own."""
+    rng = np.random.default_rng(4)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for dtype in (np.float32, np.float64):
+        start = rng.normal(size=7).astype(dtype)
+        public, part, ref = start.copy(), start.copy(), start.copy()
+        opts = Adam(public, 1e-3), Adam(part, 1e-3)
+        assert [a.dtype.kind for a in opts[1]._scratch] == ["f", "b"]
+        m, v = np.zeros_like(ref), np.zeros_like(ref)
+        for t in range(1, 4):
+            g = rng.normal(size=7).astype(dtype)
+            kept = g.copy()
+            opts[0].step(public, g)
+            assert _bits(g) == _bits(kept)
+            opts[1]._step_part(opts[1]._count_step(), part, g.copy())
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            ref -= 1e-3 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert _bits(public) == _bits(part) == _bits(ref)
 
 
 def test_adam_flushes_subnormal_moments_after_a_textbook_step():

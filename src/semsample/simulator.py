@@ -86,7 +86,13 @@ class EpisodeConfig:
 
 @dataclass(frozen=True, slots=True)
 class StepTrace:
-    """Everything that happened in one decision step."""
+    """Everything that happened in one decision step.
+
+    ``deviation`` is the skipped interval's deviation that the reward
+    scores, None on a transmission; ``display_deviation`` is the deviation
+    of the layout the destination displays from the real one on every
+    interval, a transmission's decoded packet included.
+    """
 
     t: int
     action: int
@@ -94,6 +100,7 @@ class StepTrace:
     packet_bits: int
     energy_j: float
     deviation: Optional[float]
+    display_deviation: float
     penalized: Optional[float]
     case3_deviation: Optional[float]
     reward: float
@@ -323,6 +330,7 @@ class SamplingEnv:
                     packet_bits=packet_bits,
                     energy_j=energy,
                     deviation=deviation,
+                    display_deviation=shown,
                     penalized=penalized,
                     case3_deviation=case3,
                     reward=r,

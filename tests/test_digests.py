@@ -24,22 +24,23 @@ DIGESTS = {
     # trained weights moved; this short run's greedy actions did not
     "train/snapshot.json": "37a9e516a007648f884f8d7085535e71f25e96b5a71b6508a17152f9457cf18e",
     "eval/comparison.csv": "7c76c895f001a76d83d86e18334ec5dbe3998dc2cef24c99da487715564da57f",
-    # evaluate --traces: one per-step trace per (clip, policy) episode
-    "eval/trace_eval-busy_agent.jsonl": "1b962d0b337e3ffb3b99db5a8e65db5eec7d53413b6187ab5fd6a7564e2d05da",
-    "eval/trace_eval-busy_periodic-4.jsonl": "638d681e39dba95e74dd74c564913f0d838d7ebd0538b6c4c448b0fcf0286198",
-    "eval/trace_eval-busy_periodic-5.jsonl": "53550a134e5bb02dbf82d9d02bdec029be2d22419ff871389c06d00d747d8a1e",
-    "eval/trace_eval-busy_periodic-6.jsonl": "23eb8ab1d5084a605a1cd256183bf01cbdd9fc31ff7b2b25325e13db2e8be473",
-    "eval/trace_eval-busy_periodic-7.jsonl": "47bf89655b7ec08d7aa3ef124e3fa9fa2bd1feebf8b361228062d2beecb05525",
-    "eval/trace_eval-fast_agent.jsonl": "5681a37a6be30d3621bb4a64767bf28b77846419d05ed002461e18d2aaff84ac",
-    "eval/trace_eval-fast_periodic-4.jsonl": "6ff7050c632dca2e236e4699e8e6aac76e48661f1e5cc2cefcda45bb59b8ea9f",
-    "eval/trace_eval-fast_periodic-5.jsonl": "687ece7049beee6b5e519b1bfdf8d94a58d9ca41040ac55562989e4aece17e6a",
-    "eval/trace_eval-fast_periodic-6.jsonl": "cb1fc06e2ec927a3a45bc96c3535807e91278b3cc4826eb2c011d1d6eccf0d97",
-    "eval/trace_eval-fast_periodic-7.jsonl": "53c1b2abe0a081b61c0e000a15467b294df0c699137f7bdd5c10a69419a1b42d",
-    "eval/trace_eval-sparse_agent.jsonl": "55442f890d6c2c82a1fa9dd6ba9fe472816554ceb8bd188dd5b8be31227d647a",
-    "eval/trace_eval-sparse_periodic-4.jsonl": "3f454f7369b4a87dffe4480881eecaa37353efadfee2dac7e9602869bc4162bd",
-    "eval/trace_eval-sparse_periodic-5.jsonl": "d09ef3dcb1169a0bf2b086385ccdadee1b7de9fc6d4059d57c27215bbda8210e",
-    "eval/trace_eval-sparse_periodic-6.jsonl": "847b1a722979397f1543e932424717684ed7e4bf9e51f218f0cf87ee215f6c5d",
-    "eval/trace_eval-sparse_periodic-7.jsonl": "82b0dd51276ffcc87ef0b7ca2692263be2f55d47b3d422acab6ee314306476f8",
+    # evaluate --traces: one per-step trace per (clip, policy) episode;
+    # each step gained display_deviation, so all fifteen moved
+    "eval/trace_eval-busy_agent.jsonl": "9831f5ac14899ff126cd7fe2d44d3be3a7f3a3b48f430aad767814cd77e43ee8",
+    "eval/trace_eval-busy_periodic-4.jsonl": "2ef4dbf91a661b8154600a2085949978018d956f3d46c1af630594cb8d4fd0e5",
+    "eval/trace_eval-busy_periodic-5.jsonl": "cae2d29face35ccc569206a29e49a2ad03deb9ef2fb6b5c5a00ace71f9fb36b6",
+    "eval/trace_eval-busy_periodic-6.jsonl": "85e9fb32188c66333d29aadd91c7251ae01966f3cbba9b2a55cf84c955722740",
+    "eval/trace_eval-busy_periodic-7.jsonl": "59b119768c0da960c33790bf09660e802e42a115d8379776de89dbdd1886f026",
+    "eval/trace_eval-fast_agent.jsonl": "1f3fdf213e4aa6fcb502d93c661eaa1e99f6506bcb5dc803665bbd7142eab9ff",
+    "eval/trace_eval-fast_periodic-4.jsonl": "3a940fff3ca746855d2a916ecee831f62d38ae7b11ad8a24fabf1990ac3baedc",
+    "eval/trace_eval-fast_periodic-5.jsonl": "116e6da937c25481300477d286794b0bd730e02459e8955f39a120a104d706a1",
+    "eval/trace_eval-fast_periodic-6.jsonl": "2d772388cdaf84381eb1d86e6a7f31c8d06954fdb0af54678f75ede1cb068f16",
+    "eval/trace_eval-fast_periodic-7.jsonl": "685a8763c6da357335eaef8db137f996ae8826cbc2c6a1dd7b2f6796cae3002e",
+    "eval/trace_eval-sparse_agent.jsonl": "ab4ee74314d9b47a0bbbe24ed235ec0492ce8c3876a6985f5d4db188f1e37d7c",
+    "eval/trace_eval-sparse_periodic-4.jsonl": "6458aafd54a530b0501b3186bbe85ac2ad63926efc296a2c68104ac99734a295",
+    "eval/trace_eval-sparse_periodic-5.jsonl": "1862423a2f6e86f99af544fc7b03f546dc709c3ef24910b24681f11f1e13e329",
+    "eval/trace_eval-sparse_periodic-6.jsonl": "3708d94c2fdc201877f9c0fc379a7aa50504f27419a9e5f0ef502caf607e6976",
+    "eval/trace_eval-sparse_periodic-7.jsonl": "e9f082fc7a5596fdec17cfa8654b6f980cadce5076e45527b180b25e7281717e",
 }
 
 

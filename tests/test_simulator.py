@@ -88,6 +88,9 @@ def test_every_deviation_equals_the_pixel_oracle(dense_episode):
         d_hat[1] for step, (d_hat, _) in zip(metrics.trace, per_step) if step.action == 0]
     shown = [d_hat[1] if shown is None else shown[1] for d_hat, shown in per_step]
     assert metrics.mean_display_deviation == sum(shown) / len(shown)
+    # each step's trace carries the deviation it adds to that mean
+    assert [step.display_deviation for step in metrics.trace] == shown
+    assert sum(step.display_deviation for step in metrics.trace) / metrics.steps == metrics.mean_display_deviation
     assert case3_calls  # the destination compared receptions with predictions
     for args, result in dev_calls + case3_calls:
         assert result == float(prediction_deviation_oracle(*args))
@@ -204,7 +207,7 @@ def test_the_slotted_records_survive_deepcopy_and_pickle_and_traces_keep_their_k
             assert np.array_equal(a.state, b.state) and np.array_equal(a.next_state, b.next_state)
     # ``evaluate --traces`` writes each step's fields in this order
     assert list(dataclasses.asdict(env.metrics.trace[0])) == [
-        "t", "action", "forced", "packet_bits", "energy_j", "deviation", "penalized",
+        "t", "action", "forced", "packet_bits", "energy_j", "deviation", "display_deviation", "penalized",
         "case3_deviation", "reward", "chi", "queue_len"]
     # a copy of the environment mid-episode, sharing its clips, plays on as
     # the original does
@@ -328,6 +331,8 @@ def test_every_interval_deviation_is_each_sent_frames_quantization_error_and_eac
             shown.append(step.deviation)
     assert max(shown) > 0
     assert metrics.mean_display_deviation == sum(shown) / len(shown)
+    assert [step.display_deviation for step in metrics.trace] == shown
+    assert sum(step.display_deviation for step in metrics.trace) / metrics.steps == metrics.mean_display_deviation
     skipped = [step.deviation for step in metrics.trace if not step.action]
     assert metrics.mean_deviation == (sum(skipped) / len(skipped) if skipped else 0.0)
     assert (metrics.sample_count == metrics.steps == 30) is (period == 1)

@@ -748,7 +748,7 @@ class Trainer:
         c_loss, a_loss, (probs, logp) = self._critics_and_actor_on_lanes(batch)
         t_loss, g_log_t = _temperature_loss(self.nets, probs, logp, cfg.target_entropy)
         log_t = np.array(self.nets.log_temperature)
-        self.opt_temperature.step(log_t, np.array(g_log_t))
+        self.opt_temperature.step(log_t, g_log_t)
         self.nets.log_temperature = float(log_t)
         self.gradient_steps += 1
         if not (math.isfinite(c_loss) and math.isfinite(a_loss) and math.isfinite(t_loss)):

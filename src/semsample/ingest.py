@@ -93,24 +93,6 @@ class FootageClip:
         return len(self.frames)
 
 
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
-def _normalized_box(
-    left: float, top: float, width: float, height: float, fw: int, fh: int
-) -> BoundingBox:
-    # partially out-of-frame targets are clamped into [0,1]
-    if width < 0 or height < 0:
-        raise ValueError(f"negative box extent ({width}, {height})")
-    return BoundingBox(
-        _clamp01(left / fw),
-        _clamp01(top / fh),
-        _clamp01((left + width) / fw),
-        _clamp01((top + height) / fh),
-    )
-
-
 def parse_detrac_xml(
     data: bytes | str,
     frame_width: int = FRAME_WIDTH,
@@ -187,10 +169,8 @@ def parse_detrac_xml(
             if box_el is None:
                 raise ClipParseError(f"frame {num}: target {tid_attr} has no <box>")
             try:
-                left = float(box_el.attrib["left"])
-                top = float(box_el.attrib["top"])
-                width = float(box_el.attrib["width"])
-                height = float(box_el.attrib["height"])
+                left, top, width, height = (
+                    float(box_el.attrib[key]) for key in ("left", "top", "width", "height"))
             except KeyError as exc:
                 raise ClipParseError(
                     f"frame {num}: target {tid_attr} box missing attribute {exc}"
@@ -198,18 +178,25 @@ def parse_detrac_xml(
             except ValueError as exc:
                 raise ClipParseError(f"frame {num}: target {tid_attr} box: {exc}") from exc
             attr_el = target.find("attribute")
-            if attr_el is None or attr_el.get("vehicle_type") is None:
+            vtype = None if attr_el is None else attr_el.get("vehicle_type")
+            if vtype is None:
                 raise ClipParseError(
                     f"frame {num}: target {tid_attr} missing vehicle_type attribute"
                 )
-            vtype = VEHICLE_TYPE_CODES.get(
-                attr_el.get("vehicle_type", "").lower(), VehicleClass.OTHERS
-            )
             try:
-                box = _normalized_box(left, top, width, height, frame_width, frame_height)
+                if width < 0 or height < 0:
+                    raise ValueError(f"negative box extent ({width}, {height})")
+                # out-of-frame parts are clamped into [0,1]; the box rejects a NaN
+                box = BoundingBox(
+                    min(max(left / frame_width, 0.0), 1.0),
+                    min(max(top / frame_height, 0.0), 1.0),
+                    min(max((left + width) / frame_width, 0.0), 1.0),
+                    min(max((top + height) / frame_height, 0.0), 1.0),
+                )
             except ValueError as exc:
                 raise ClipParseError(f"frame {num}: target {tid_attr}: {exc}") from exc
-            records.append(VehicleRecord(track_id=tid, vehicle_class=vtype, box=box))
+            vclass = VEHICLE_TYPE_CODES.get(vtype.lower(), VehicleClass.OTHERS)
+            records.append(VehicleRecord(tid, vclass, box))
         numbered.append((num, records))
 
     if not numbered:
@@ -327,27 +314,29 @@ class TrafficGenConfig:
 class _Vehicle:
     track_id: int
     vehicle_class: VehicleClass
-    lane: int
-    direction: int  # +1 moves toward x=1, -1 toward x=0
-    lead: float  # x of the leading edge
+    lane: int  # lanes below config.lanes move toward x=1, the rest toward x=0
     speed: float
     length: float
-    height: float
-    y_center: float
-
-    def x_extent(self) -> tuple[float, float]:
-        if self.direction > 0:
-            return self.lead - self.length, self.lead
-        return self.lead, self.lead + self.length
+    x1: float  # x extent; each move steps the leading edge, then the other
+    x2: float
+    y1: float  # y extent, clamped into [0,1] and fixed at spawn
+    y2: float
 
 
 def generate_traffic(config: TrafficGenConfig, num_frames: int, name: Optional[str] = None) -> FootageClip:
     """Generate a clip of bidirectional lane traffic.
 
     Vehicles enter at the frame edge, move with a per-vehicle constant speed
-    plus bounded per-step jitter, and despawn once fully out of frame.
+    plus bounded per-step jitter, and despawn once fully out of frame or,
+    while leaving, once less than ``_MIN_VISIBLE`` of their length shows.
     Track ids are never reused.  Output is deterministic for a given config.
     ``num_frames`` is at most ``MAX_CLIP_FRAMES``.
+
+    The draw order is fixed, and the tests' digests pin it: per frame, one
+    jitter per active vehicle in track-id order, then the number of spawn
+    attempts and, per attempt, the lane, the class and the speed.  ``active``
+    stays in track-id order (survivors keep theirs, a spawn appends the next
+    id), so each frame lists its vehicles in that order.
     """
     if not 0 <= num_frames <= MAX_CLIP_FRAMES:
         raise ValueError(f"num_frames must be in [0, {MAX_CLIP_FRAMES}], got {num_frames}")
@@ -359,17 +348,21 @@ def generate_traffic(config: TrafficGenConfig, num_frames: int, name: Optional[s
     frames: list[SceneAnnotation] = []
 
     for t in range(num_frames):
-        # move first (fixed rng call order: one jitter draw per active vehicle)
-        for veh in active:
-            jitter = float(rng.uniform(-config.speed_jitter, config.speed_jitter))
-            veh.lead += veh.direction * max(veh.speed + jitter, 0.0)
-        # despawn vehicles whose visible remainder at the exit edge is small;
-        # lingering slivers carry almost no layout mass but add churn
+        # move, then despawn slivers at the exit edge (little layout mass,
+        # much churn); the array draw gives one scalar draw's doubles per vehicle
+        jitters = rng.uniform(-config.speed_jitter, config.speed_jitter, len(active))
         survivors = []
-        for veh in active:
-            x1, x2 = veh.x_extent()
-            visible = min(x2, 1.0) - max(x1, 0.0)
-            leaving = x2 > 1.0 if veh.direction > 0 else x1 < 0.0
+        for veh, jitter in zip(active, jitters.tolist()):
+            step = max(veh.speed + jitter, 0.0)
+            if veh.lane < config.lanes:
+                veh.x2 += step
+                veh.x1 = veh.x2 - veh.length
+                leaving = veh.x2 > 1.0
+            else:
+                veh.x1 -= step
+                veh.x2 = veh.x1 + veh.length
+                leaving = veh.x1 < 0.0
+            visible = min(veh.x2, 1.0) - max(veh.x1, 0.0)
             if visible <= 0.0 or (leaving and visible < _MIN_VISIBLE * veh.length):
                 continue
             survivors.append(veh)
@@ -380,48 +373,25 @@ def generate_traffic(config: TrafficGenConfig, num_frames: int, name: Optional[s
             cls = VehicleClass(int(rng.choice(4, p=config.class_mix)) + 1)
             speed = config.speed_mean * float(rng.uniform(0.7, 1.3))
             length, height = _CLASS_SIZES[cls]
-            direction = 1 if lane < config.lanes else -1
-            blocked = False
-            for veh in active:
-                if veh.lane != lane:
-                    continue
-                x1, x2 = veh.x_extent()
-                if direction > 0 and x1 < length + _SPAWN_GAP:
-                    blocked = True
-                    break
-                if direction < 0 and x2 > 1.0 - length - _SPAWN_GAP:
-                    blocked = True
-                    break
+            if lane < config.lanes:
+                x1, x2 = -length, 0.0
+                blocked = any(v.lane == lane and v.x1 < length + _SPAWN_GAP for v in active)
+            else:
+                x1, x2 = 1.0, 1.0 + length
+                blocked = any(v.lane == lane and v.x2 > 1.0 - length - _SPAWN_GAP for v in active)
             if blocked:
                 continue
-            lead = 0.0 if direction > 0 else 1.0
-            active.append(
-                _Vehicle(
-                    track_id=next_id,
-                    vehicle_class=cls,
-                    lane=lane,
-                    direction=direction,
-                    lead=lead,
-                    speed=speed,
-                    length=length,
-                    height=height,
-                    y_center=(lane + 0.5) * band,
-                )
-            )
+            y_center = (lane + 0.5) * band
+            active.append(_Vehicle(next_id, cls, lane, speed, length, x1, x2,
+                                   y1=max(y_center - height / 2.0, 0.0),
+                                   y2=min(y_center + height / 2.0, 1.0)))
             next_id += 1
-        records = []
-        for veh in sorted(active, key=lambda v: v.track_id):
-            x1, x2 = veh.x_extent()
-            y1 = veh.y_center - veh.height / 2.0
-            y2 = veh.y_center + veh.height / 2.0
-            records.append(
-                VehicleRecord(
-                    track_id=veh.track_id,
-                    vehicle_class=veh.vehicle_class,
-                    box=BoundingBox(_clamp01(x1), _clamp01(y1), _clamp01(x2), _clamp01(y2)),
-                )
-            )
-        frames.append(SceneAnnotation(frame_index=t, vehicles=tuple(records)))
+        # an active vehicle is in frame or at its entry edge, so x1 <= 1 and
+        # x2 >= 0 and each needs clamping on one side only
+        frames.append(SceneAnnotation(t, tuple(
+            VehicleRecord(v.track_id, v.vehicle_class,
+                          BoundingBox(max(v.x1, 0.0), v.y1, min(v.x2, 1.0), v.y2))
+            for v in active)))
 
     return FootageClip(
         name=name or f"traffic-{config.seed}",

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 import time
 from pathlib import Path
 
@@ -144,7 +146,8 @@ def test_parse_negative_extent_errors():
         <target id="1"><box left="10" top="10" width="-5" height="5"/>
         <attribute vehicle_type="car"/></target>
     </target_list></frame></sequence>"""
-    with pytest.raises(ClipParseError, match="negative"):
+    message = r"^frame 1: target 1: negative box extent \(-5\.0, 5\.0\)$"
+    with pytest.raises(ClipParseError, match=message):
         parse_detrac_xml(doc)
 
 
@@ -325,6 +328,43 @@ def test_generator_boxes_valid_and_lane_bound():
             b = v.box
             assert 0.0 <= b.b1 <= b.b3 <= 1.0
             assert 0.0 <= b.b2 <= b.b4 <= 1.0
+
+
+def _traffic_sha256(clip: FootageClip) -> str:
+    h = hashlib.sha256()
+    for frame in clip.frames:
+        for v in frame.vehicles:
+            h.update(struct.pack("<3q4d", frame.frame_index, v.track_id, int(v.vehicle_class),
+                                 *v.box.as_tuple()))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        # train_small_dense's regime
+        (dict(lanes=2, spawn_rate=0.5, seed=10),
+         "d6dbc2fb2cecd55487ab71e5399f163f28e6f068e0a41ba0f193308fb26f2631"),
+        (dict(lanes=2, spawn_rate=0.5, seed=11),
+         "8cdbf4c71d1588c42563f76c6f192ad13c775ae71585be74ba01e2e1a10698c5"),
+        (dict(lanes=2, spawn_rate=0.5, seed=12),
+         "db793a65a79606e43614016242a34ef6a751276e6b5de5bb21da7d44b991f0ac"),
+        # several spawn attempts per frame, most of them blocked
+        (dict(lanes=3, spawn_rate=2.0, seed=13),
+         "50f43b1a88dfbae91ae36409351b954ffbe8c587fe622b48d4ddafba315bd3a8"),
+        # jitter past the speed: some steps clamp to standing still
+        (dict(speed_mean=0.01, speed_jitter=0.015, spawn_rate=0.2, seed=14),
+         "d0fab936be9597f7879461e48a0cea4a70258cb60c689ff58425920cdfbdb137"),
+    ],
+    ids=["dense-10", "dense-11", "dense-12", "3-lanes-spawn-2", "jitter-past-speed"],
+)
+def test_generator_output_is_pinned_bit_for_bit(config, digest):
+    clip = generate_traffic(TrafficGenConfig(**config), 500)
+    assert _traffic_sha256(clip) == digest
+    if config.get("speed_jitter") == 0.015:  # some vehicle stands still for a frame
+        boxes = [{v.track_id: v.box for v in f.vehicles} for f in clip.frames]
+        assert any(box == now.get(tid) for before, now in zip(boxes, boxes[1:])
+                   for tid, box in before.items())
 
 
 def test_generator_config_validation():
